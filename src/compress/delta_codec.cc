@@ -1,10 +1,12 @@
 #include "compress/delta_codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "common/coding.h"
+#include "compress/common_prefix.h"
 
 namespace rstore {
 namespace delta_codec {
@@ -28,6 +30,25 @@ void EmitAdd(const unsigned char* data, size_t start, size_t end,
   out->append(reinterpret_cast<const char*>(data + start), len);
 }
 
+// Open-addressing anchor index (anchor hash -> first base position), reused
+// by every Encode call on a thread. A slot is live only while its generation
+// equals the table's, so starting a new call is one increment rather than a
+// clear, and a small base probes only a prefix of the table.
+struct AnchorSlot {
+  uint64_t hash;
+  uint32_t pos;
+  uint32_t generation;
+};
+
+struct AnchorTable {
+  std::vector<AnchorSlot> slots;
+  uint32_t generation = 0;
+};
+
+// A table larger than this is freed after the call, so one large base does
+// not pin its index for the life of the thread.
+constexpr size_t kMaxRetainedSlots = size_t{1} << 15;
+
 }  // namespace
 
 void Encode(Slice base, Slice target, std::string* delta) {
@@ -47,26 +68,51 @@ void Encode(Slice base, Slice target, std::string* delta) {
   }
 
   // Index every 4th anchor of the base (dense enough for record-sized
-  // payloads, 4x cheaper to build).
-  std::unordered_map<uint64_t, uint32_t> index;
-  index.reserve(bn / 4 + 1);
+  // payloads, 4x cheaper to build). Capacity is a power of two at least
+  // twice the anchor count; slots are picked from the hash's high bits,
+  // which are the well-mixed ones of a multiplicative hash.
+  const size_t anchors = (bn - kAnchor) / 4 + 1;
+  const int bits = std::bit_width(anchors) + 1;
+  const size_t capacity = size_t{1} << bits;
+  const size_t mask = capacity - 1;
+  thread_local AnchorTable table;
+  if (table.slots.size() < capacity) {
+    table.slots.assign(capacity, AnchorSlot{});
+    table.generation = 0;
+  }
+  if (++table.generation == 0) {
+    for (AnchorSlot& slot : table.slots) slot.generation = 0;
+    table.generation = 1;
+  }
+  AnchorSlot* slots = table.slots.data();
+  const uint32_t generation = table.generation;
+  // The live slot holding `hash`, or the free slot where it would go.
+  auto probe = [&](uint64_t hash) {
+    size_t s = static_cast<size_t>(hash >> (64 - bits));
+    while (slots[s].generation == generation && slots[s].hash != hash) {
+      s = (s + 1) & mask;
+    }
+    return s;
+  };
   for (size_t i = 0; i + kAnchor <= bn; i += 4) {
-    index.emplace(Hash8(b + i), static_cast<uint32_t>(i));
+    const uint64_t hash = Hash8(b + i);
+    AnchorSlot& slot = slots[probe(hash)];
+    // A repeated hash keeps its first base position.
+    if (slot.generation != generation) {
+      slot = {hash, static_cast<uint32_t>(i), generation};
+    }
   }
 
   size_t add_start = 0;
   size_t i = 0;
   while (i + kAnchor <= tn) {
-    auto it = index.find(Hash8(t + i));
+    const AnchorSlot& slot = slots[probe(Hash8(t + i))];
     bool matched = false;
-    if (it != index.end()) {
-      size_t bp = it->second;
-      if (std::memcmp(b + bp, t + i, kAnchor) == 0) {
-        // Extend forward.
-        size_t fwd = kAnchor;
-        while (bp + fwd < bn && i + fwd < tn && b[bp + fwd] == t[i + fwd]) {
-          ++fwd;
-        }
+    if (slot.generation == generation) {
+      size_t bp = slot.pos;
+      size_t fwd =
+          CommonPrefixLength(b + bp, t + i, std::min(bn - bp, tn - i));
+      if (fwd >= kAnchor) {
         // Extend backward into the pending ADD region.
         size_t back = 0;
         while (bp > back && i > add_start + back && b[bp - back - 1] == t[i - back - 1]) {
@@ -86,6 +132,9 @@ void Encode(Slice base, Slice target, std::string* delta) {
     if (!matched) ++i;
   }
   EmitAdd(t, add_start, tn, delta);
+  if (table.slots.size() > kMaxRetainedSlots) {
+    std::vector<AnchorSlot>().swap(table.slots);
+  }
 }
 
 Status Apply(Slice base, Slice delta, std::string* target) {
@@ -99,6 +148,11 @@ Status Apply(Slice base, Slice delta, std::string* target) {
     uint64_t token;
     RSTORE_RETURN_IF_ERROR(GetVarint64(&input, &token));
     uint64_t len = token >> 1;
+    // Checked before appending, so a short delta cannot expand far past
+    // the declared size before the final size check.
+    if (len > expected - target->size()) {
+      return Status::Corruption("delta: op overruns target size");
+    }
     if ((token & 1) == 0) {
       if (input.size() < len) {
         return Status::Corruption("delta: truncated ADD data");
@@ -108,7 +162,7 @@ Status Apply(Slice base, Slice delta, std::string* target) {
     } else {
       uint64_t offset;
       RSTORE_RETURN_IF_ERROR(GetVarint64(&input, &offset));
-      if (offset + len > base.size()) {
+      if (offset > base.size() || len > base.size() - offset) {
         return Status::Corruption("delta: COPY out of base range");
       }
       target->append(base.data() + offset, len);

@@ -27,7 +27,8 @@ namespace delta_codec {
 
 /// Produces a delta such that Apply(base, delta) == target. Appends to
 /// `*delta` (cleared first). Worst case (nothing shared) the delta is the
-/// target plus a few bytes of framing.
+/// target plus a few bytes of framing. The anchor index is per-thread and
+/// reused across calls.
 void Encode(Slice base, Slice target, std::string* delta);
 
 /// Reconstructs the target from the base and a delta produced by Encode.

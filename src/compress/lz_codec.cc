@@ -1,9 +1,11 @@
 #include "compress/lz_codec.h"
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/coding.h"
+#include "compress/common_prefix.h"
 
 namespace rstore {
 namespace lz {
@@ -21,16 +23,6 @@ inline uint32_t Hash4(const unsigned char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-inline size_t MatchLength(const unsigned char* a, const unsigned char* b,
-                          const unsigned char* end) {
-  const unsigned char* start = b;
-  while (b < end && *a == *b) {
-    ++a;
-    ++b;
-  }
-  return static_cast<size_t>(b - start);
-}
-
 void EmitLiterals(const unsigned char* base, size_t start, size_t end,
                   std::string* out) {
   if (end <= start) return;
@@ -38,6 +30,27 @@ void EmitLiterals(const unsigned char* base, size_t start, size_t end,
   PutVarint64(out, (len << 1) | 0);
   out->append(reinterpret_cast<const char*>(base + start), len);
 }
+
+// Match tables reused by every Compress call on a thread: allocating and
+// zeroing a fresh 2^16-entry head table per call cost more than compressing
+// a small input.
+//
+// An indexed position `pos` is stored as `base + pos + 1`, where `base` is
+// the sum of the sizes of the thread's earlier inputs. An entry belongs to
+// the current call iff it exceeds the call's base, so entries left by earlier
+// calls read as empty without any clearing: the base is a generation stamp
+// folded into the stored position. prev[pos] is written when pos is indexed
+// and read only for indexed positions, so it is never cleared either.
+struct MatchTables {
+  std::vector<uint32_t> head;  // most recent position per hash
+  std::unique_ptr<uint32_t[]> prev;  // previous position in pos's chain
+  size_t prev_capacity = 0;
+  uint32_t base = 0;
+};
+
+// A prev chain longer than this is freed after the call, so one large input
+// does not pin its chain for the life of the thread.
+constexpr size_t kMaxRetainedPositions = size_t{1} << 16;
 
 }  // namespace
 
@@ -49,17 +62,25 @@ void Compress(Slice input, std::string* output) {
   const unsigned char* data =
       reinterpret_cast<const unsigned char*>(input.data());
   const size_t n = input.size();
-  const unsigned char* end = data + n;
 
   if (n < kMinMatch + 4) {
     EmitLiterals(data, 0, n, output);
     return;
   }
 
-  // head[h] = most recent position with hash h; prev[i] = previous position
-  // in i's chain. Positions are offset by +1 so 0 means "empty".
-  std::vector<uint32_t> head(1u << kHashBits, 0);
-  std::vector<uint32_t> prev(n, 0);
+  thread_local MatchTables tables;
+  if (tables.head.empty() || n > UINT32_MAX - tables.base) {
+    tables.head.assign(size_t{1} << kHashBits, 0);
+    tables.base = 0;
+  }
+  if (tables.prev_capacity < n) {
+    tables.prev = std::make_unique_for_overwrite<uint32_t[]>(n);
+    tables.prev_capacity = n;
+  }
+  uint32_t* head = tables.head.data();
+  uint32_t* prev = tables.prev.get();
+  const uint32_t base = tables.base;
+  tables.base += static_cast<uint32_t>(n);
 
   size_t literal_start = 0;
   size_t i = 0;
@@ -68,7 +89,7 @@ void Compress(Slice input, std::string* output) {
   auto insert = [&](size_t pos) {
     uint32_t h = Hash4(data + pos);
     prev[pos] = head[h];
-    head[h] = static_cast<uint32_t>(pos + 1);
+    head[h] = base + static_cast<uint32_t>(pos) + 1;
   };
 
   auto find_match = [&](size_t pos, size_t* match_pos) -> size_t {
@@ -76,13 +97,16 @@ void Compress(Slice input, std::string* output) {
     uint32_t cand = head[h];
     size_t best_len = 0;
     int probes = kMaxChainProbes;
-    while (cand != 0 && probes-- > 0) {
-      size_t c = cand - 1;
+    while (cand > base && probes-- > 0) {
+      size_t c = cand - base - 1;
       if (pos - c > kMaxDistance) break;
-      size_t len = MatchLength(data + c, data + pos, end);
-      if (len > best_len) {
-        best_len = len;
-        *match_pos = c;
+      // Only a candidate that also agrees at byte best_len can be longer.
+      if (best_len < n - pos && data[c + best_len] == data[pos + best_len]) {
+        size_t len = CommonPrefixLength(data + c, data + pos, n - pos);
+        if (len > best_len) {
+          best_len = len;
+          *match_pos = c;
+        }
       }
       cand = prev[c];
     }
@@ -128,6 +152,10 @@ void Compress(Slice input, std::string* output) {
     ++i;
   }
   EmitLiterals(data, literal_start, n, output);
+  if (tables.prev_capacity > kMaxRetainedPositions) {
+    tables.prev.reset();
+    tables.prev_capacity = 0;
+  }
 }
 
 Status Decompress(Slice input, std::string* output) {

@@ -27,7 +27,8 @@ namespace lz {
 
 /// Compresses `input`, appending to `*output` (which is cleared first).
 /// Never fails; incompressible data degrades to one literal run with ~1.01x
-/// expansion plus the header.
+/// expansion plus the header. The match tables are per-thread and reused
+/// across calls.
 void Compress(Slice input, std::string* output);
 
 /// Decompresses a buffer produced by Compress. Returns kCorruption on any

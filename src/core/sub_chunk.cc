@@ -22,6 +22,7 @@ Result<SubChunk> SubChunk::Build(std::vector<Member> members,
   sc.external_parents_.resize(members.size());
 
   std::string raw;
+  std::string delta;
   for (uint32_t i = 0; i < members.size(); ++i) {
     const Member& m = members[i];
     if (i > 0 && m.key.key != members[0].key.key) {
@@ -33,7 +34,6 @@ Result<SubChunk> SubChunk::Build(std::vector<Member> members,
     if (m.external_parent) {
       sc.parent_index_.push_back(kExternalParent);
       sc.external_parents_[i] = *m.external_parent;
-      std::string delta;
       delta_codec::Encode(Slice(m.external_parent_payload), Slice(m.payload),
                           &delta);
       PutLengthPrefixed(&raw, Slice(delta));
@@ -47,7 +47,6 @@ Result<SubChunk> SubChunk::Build(std::vector<Member> members,
     if (i == 0) {
       PutLengthPrefixed(&raw, Slice(m.payload));
     } else {
-      std::string delta;
       delta_codec::Encode(Slice(members[m.parent_index].payload),
                           Slice(m.payload), &delta);
       PutLengthPrefixed(&raw, Slice(delta));
@@ -69,9 +68,16 @@ bool SubChunk::Contains(const CompositeKey& ck) const {
 }
 
 uint64_t SubChunk::serialized_size() const {
-  std::string tmp;
-  EncodeTo(&tmp);
-  return tmp.size();
+  // Field for field what EncodeTo writes.
+  uint64_t size = VarintLength(keys_.size());
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    size += keys_[i].EncodedSize() + VarintLength(parent_index_[i]);
+    if (parent_index_[i] == kExternalParent) {
+      size += external_parents_[i].EncodedSize();
+    }
+  }
+  return size + 1 + VarintLength(uncompressed_bytes_) +
+         VarintLength(blob_.size()) + blob_.size();
 }
 
 Result<std::vector<std::string>> SubChunk::ExtractAllPayloads(
@@ -164,7 +170,14 @@ Status SubChunk::DecodeFrom(Slice* input, SubChunk* out) {
     out->external_parents_.push_back(std::move(external));
   }
   if (input->empty()) return Status::Corruption("truncated sub-chunk");
-  out->compression_ = static_cast<CompressionType>((*input)[0]);
+  // Any other byte would otherwise reach GetCompressor and be decoded with
+  // the wrong codec.
+  const auto compression = static_cast<CompressionType>((*input)[0]);
+  if (compression != CompressionType::kNone &&
+      compression != CompressionType::kLZ) {
+    return Status::Corruption("sub-chunk: unknown compression type");
+  }
+  out->compression_ = compression;
   input->RemovePrefix(1);
   RSTORE_RETURN_IF_ERROR(GetVarint64(input, &out->uncompressed_bytes_));
   Slice blob;

@@ -72,7 +72,7 @@ Status EmitComponent(const KeyForest& forest, const std::vector<int>& component,
       item.versions.end());
   item.bytes = sc->serialized_size();
 
-  out->sub_chunks.push_back(*std::move(sc));
+  out->sub_chunks.push_back(std::move(sc).value());
   out->items.push_back(std::move(item));
   return Status::OK();
 }
@@ -189,7 +189,7 @@ Result<SubChunkBuildResult> BuildSubChunks(
         auto vit = record_versions.find(ck);
         if (vit != record_versions.end()) item.versions = vit->second;
         item.bytes = sc->serialized_size();
-        out.sub_chunks.push_back(*std::move(sc));
+        out.sub_chunks.push_back(std::move(sc).value());
         out.items.push_back(std::move(item));
       }
     }

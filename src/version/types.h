@@ -48,6 +48,10 @@ struct CompositeKey {
     PutLengthPrefixed(out, Slice(key));
     PutVarint32(out, version);
   }
+  /// Bytes EncodeTo appends.
+  size_t EncodedSize() const {
+    return VarintLength(key.size()) + key.size() + VarintLength(version);
+  }
   static Status DecodeFrom(Slice* input, CompositeKey* out) {
     Slice k;
     RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(input, &k));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "common/random.h"
 
 namespace rstore {
@@ -132,6 +133,30 @@ TEST(DeltaCodecTest, ApplyRejectsCorruptDelta) {
   bad.push_back(120);          // offset 120 > base.size()
   EXPECT_TRUE(
       delta_codec::Apply(Slice("short"), Slice(bad), &out).IsCorruption());
+  // offset + len wraps around: COPY len 2 at offset 2^64 - 1.
+  std::string wrap;
+  PutVarint64(&wrap, 2);
+  PutVarint64(&wrap, (2 << 1) | 1);
+  PutVarint64(&wrap, UINT64_MAX);
+  EXPECT_TRUE(
+      delta_codec::Apply(Slice(base), Slice(wrap), &out).IsCorruption());
+  // Ops that would grow the target past its declared size are rejected
+  // before they append, not after the whole delta has expanded.
+  std::string overrun;
+  PutVarint64(&overrun, 8);  // target_size = 8
+  for (int i = 0; i < 1000; ++i) {
+    PutVarint64(&overrun, (base.size() << 1) | 1);  // COPY the whole base
+    PutVarint64(&overrun, 0);
+  }
+  EXPECT_TRUE(
+      delta_codec::Apply(Slice(base), Slice(overrun), &out).IsCorruption());
+  EXPECT_LE(out.size(), 8u);
+  std::string add_overrun;
+  PutVarint64(&add_overrun, 2);           // target_size = 2
+  PutVarint64(&add_overrun, (3 << 1) | 0);  // ADD 3 bytes
+  add_overrun += "abc";
+  EXPECT_TRUE(delta_codec::Apply(Slice(base), Slice(add_overrun), &out)
+                  .IsCorruption());
 }
 
 TEST(DeltaCodecTest, RandomizedRoundTripSweep) {

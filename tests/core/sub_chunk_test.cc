@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
+#include "common/random.h"
+
 namespace rstore {
 namespace {
 
@@ -137,6 +140,68 @@ TEST(SubChunkTest, DecodeRejectsCorruption) {
     Slice in(buf.data(), cut);
     SubChunk decoded;
     EXPECT_FALSE(SubChunk::DecodeFrom(&in, &decoded).ok()) << cut;
+  }
+}
+
+TEST(SubChunkTest, DecodeRejectsUnknownCompressionType) {
+  auto sc = SubChunk::Build({MakeMember("K", 0, 0, "data data data data")},
+                            CompressionType::kLZ);
+  ASSERT_TRUE(sc.ok());
+  std::string buf;
+  sc->EncodeTo(&buf);
+  // Member count, the head's key, its parent index, then the type byte.
+  const size_t type_pos =
+      VarintLength(1) + CompositeKey("K", 0).EncodedSize() + VarintLength(0);
+  ASSERT_EQ(static_cast<uint8_t>(buf[type_pos]),
+            static_cast<uint8_t>(CompressionType::kLZ));
+  for (uint8_t bad : {uint8_t{2}, uint8_t{0x7f}, uint8_t{0xff}}) {
+    std::string flipped = buf;
+    flipped[type_pos] = static_cast<char>(bad);
+    Slice in(flipped);
+    SubChunk decoded;
+    EXPECT_TRUE(SubChunk::DecodeFrom(&in, &decoded).IsCorruption())
+        << int{bad};
+  }
+}
+
+TEST(SubChunkTest, SerializedSizeMatchesEncodingProperty) {
+  // Key lengths, versions, parent indices and payload sizes are drawn so
+  // that every varint in the encoding crosses its one/two/three-byte
+  // widths, with external parents mixed in.
+  Random rng(7);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string key(rng.Uniform(300),
+                          static_cast<char>('a' + trial % 26));
+    const size_t count = 1 + rng.Uniform(6);
+    std::vector<SubChunk::Member> members;
+    for (size_t i = 0; i < count; ++i) {
+      const auto version = static_cast<VersionId>(
+          rng.Bernoulli(0.5) ? rng.Uniform(200) : rng.Uniform(UINT32_MAX));
+      std::string payload(rng.Uniform(rng.Bernoulli(0.2) ? 20000 : 300), 'x');
+      for (char& c : payload) {
+        if (rng.Bernoulli(0.3)) c = static_cast<char>(rng.Uniform(256));
+      }
+      SubChunk::Member m = MakeMember(
+          key, version, i == 0 ? 0 : static_cast<uint32_t>(rng.Uniform(i)),
+          payload);
+      if (rng.Bernoulli(0.3)) {
+        m.external_parent = CompositeKey(std::string(rng.Uniform(200), 'e'),
+                                         static_cast<VersionId>(rng.Next()));
+        m.external_parent_payload = payload.substr(0, payload.size() / 2);
+      }
+      members.push_back(std::move(m));
+    }
+    auto sc = SubChunk::Build(std::move(members),
+                              rng.Bernoulli(0.5) ? CompressionType::kLZ
+                                                 : CompressionType::kNone);
+    ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+    std::string buf;
+    sc->EncodeTo(&buf);
+    ASSERT_EQ(sc->serialized_size(), buf.size()) << "trial " << trial;
+    Slice in(buf);
+    SubChunk decoded;
+    ASSERT_TRUE(SubChunk::DecodeFrom(&in, &decoded).ok());
+    EXPECT_EQ(decoded.serialized_size(), buf.size()) << "trial " << trial;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "json/json_parser.h"
 #include "json/json_value.h"
 #include "json/json_writer.h"
@@ -108,8 +110,12 @@ TEST(JsonParserTest, EmptyContainers) {
 
 struct BadInput {
   const char* text;
-  const char* why;
+  const char* why;  // unique per case: it names the test
 };
+
+// gtest prints a parameter into the test's listed name; without this it
+// would dump the two pointers' bytes, which change with every run.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.why; }
 
 class JsonParserErrorTest : public ::testing::TestWithParam<BadInput> {};
 
@@ -122,8 +128,8 @@ TEST_P(JsonParserErrorTest, RejectsMalformedInput) {
 INSTANTIATE_TEST_SUITE_P(
     Malformed, JsonParserErrorTest,
     ::testing::Values(
-        BadInput{"", "empty input"}, BadInput{"nul", "bad literal"},
-        BadInput{"tru", "bad literal"}, BadInput{"[1,", "unterminated array"},
+        BadInput{"", "empty input"}, BadInput{"nul", "bad null literal"},
+        BadInput{"tru", "bad true literal"}, BadInput{"[1,", "unterminated array"},
         BadInput{"[1 2]", "missing comma"},
         BadInput{"{\"a\":}", "missing value"},
         BadInput{"{\"a\" 1}", "missing colon"},

@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): the building blocks whose
-// costs the system-level experiments aggregate — codecs, bitmaps, min-hash,
-// backend MultiGet, and the partitioning algorithms themselves.
+// costs the system-level experiments aggregate — codecs, bitmaps, chunk
+// decode and record extraction, min-hash, backend MultiGet, and the
+// partitioning algorithms themselves.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "compress/bitmap.h"
 #include "compress/delta_codec.h"
 #include "compress/lz_codec.h"
+#include "core/chunk.h"
 #include "kvstore/cluster.h"
 #include "workload/dataset_catalog.h"
 #include "workload/record_generator.h"
@@ -91,6 +93,101 @@ void BM_BitmapSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapSerialize)->Arg(10000)->Arg(1000000);
+
+/// The encoded body and chunk map of a read-path-sized chunk: 40 sub-chunks
+/// of five ~1 KB JSON records each (member m deltas against member m - 1),
+/// over 85 versions. Member m of a sub-chunk is created at a version in
+/// [17m, 17m + 17) and belongs to every version up to its successor's.
+struct EncodedChunk {
+  std::string body;
+  std::string map;
+};
+
+constexpr VersionId kChunkVersions = 85;
+
+const EncodedChunk& ReadPathChunk() {
+  static const EncodedChunk encoded = [] {
+    constexpr int kSubChunks = 40;
+    constexpr int kMembers = 5;
+    Random rng(11);
+    workload::RecordGenerator gen(1024, 5);
+    Chunk chunk(1);
+    std::vector<std::vector<VersionId>> created(kSubChunks);
+    for (int s = 0; s < kSubChunks; ++s) {
+      const std::string key = "key" + std::to_string(s);
+      std::vector<SubChunk::Member> members(kMembers);
+      for (int m = 0; m < kMembers; ++m) {
+        const auto version =
+            static_cast<VersionId>(17 * m + static_cast<int>(rng.Uniform(17)));
+        created[s].push_back(version);
+        members[m].key = CompositeKey(key, version);
+        members[m].parent_index = m == 0 ? 0 : static_cast<uint32_t>(m - 1);
+        members[m].payload = m == 0 ? gen.Generate(key)
+                                    : gen.Mutate(members[m - 1].payload, 0.05);
+      }
+      chunk.AddSubChunk(*SubChunk::Build(std::move(members),
+                                         CompressionType::kLZ));
+    }
+    chunk.InitChunkMap();
+    for (int s = 0; s < kSubChunks; ++s) {
+      for (int m = 0; m < kMembers; ++m) {
+        const VersionId end =
+            m + 1 < kMembers ? created[s][m + 1] : kChunkVersions;
+        for (VersionId v = created[s][m]; v < end; ++v) {
+          chunk.chunk_map()->Add(v, static_cast<uint32_t>(s * kMembers + m));
+        }
+      }
+    }
+    EncodedChunk out;
+    chunk.EncodeTo(&out.body);
+    chunk.chunk_map()->EncodeTo(&out.map);
+    return out;
+  }();
+  return encoded;
+}
+
+/// Decodes a fetched chunk the way the read path does: body, then map.
+Status DecodeChunk(const EncodedChunk& encoded, Chunk* chunk) {
+  Slice body(encoded.body);
+  RSTORE_RETURN_IF_ERROR(Chunk::DecodeFrom(&body, chunk));
+  ChunkMap map;
+  Slice map_input(encoded.map);
+  RSTORE_RETURN_IF_ERROR(ChunkMap::DecodeFrom(&map_input, &map));
+  return chunk->SetChunkMap(std::move(map));
+}
+
+void BM_ChunkDecode(benchmark::State& state) {
+  const EncodedChunk& encoded = ReadPathChunk();
+  for (auto _ : state) {
+    Chunk chunk;
+    benchmark::DoNotOptimize(DecodeChunk(encoded, &chunk).ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          (encoded.body.size() + encoded.map.size()));
+}
+BENCHMARK(BM_ChunkDecode);
+
+/// One version's records out of a decoded chunk: the chunk map lookup plus
+/// the decompression and delta chain of every sub-chunk it touches.
+void BM_ExtractVersion(benchmark::State& state) {
+  Chunk decoded;
+  if (!DecodeChunk(ReadPathChunk(), &decoded).ok()) {
+    state.SkipWithError("chunk decode failed");
+    return;
+  }
+  const Chunk& chunk = decoded;
+  VersionId version = 0;
+  int64_t records = 0;
+  for (auto _ : state) {
+    auto extracted =
+        chunk.ExtractRecords(chunk.chunk_map().RecordsOf(version));
+    benchmark::DoNotOptimize(extracted.ok());
+    records += static_cast<int64_t>(extracted->size());
+    version = (version + 1) % kChunkVersions;
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_ExtractVersion);
 
 void BM_MinHashVersionSet(benchmark::State& state) {
   HashFamily family(4, 99);

@@ -58,16 +58,12 @@ Status GetFixed32(Slice* input, uint32_t* value) {
 
 Status GetFixed64(Slice* input, uint64_t* value) {
   if (input->size() < 8) return Status::Corruption("truncated fixed64");
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(input->data());
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  *value = v;
+  *value = DecodeFixed64(input->data());
   input->RemovePrefix(8);
   return Status::OK();
 }
 
-Status GetVarint32(Slice* input, uint32_t* value) {
+Status GetVarint32Slow(Slice* input, uint32_t* value) {
   uint64_t v;
   RSTORE_RETURN_IF_ERROR(GetVarint64(input, &v));
   if (v > UINT32_MAX) return Status::Corruption("varint32 overflow");
@@ -75,38 +71,36 @@ Status GetVarint32(Slice* input, uint32_t* value) {
   return Status::OK();
 }
 
-Status GetVarint64(Slice* input, uint64_t* value) {
+Status GetVarint64Slow(Slice* input, uint64_t* value) {
+  const char* p = input->data();
+  const char* q = GetVarint64PtrSlow(p, p + input->size(), value);
+  if (q == nullptr) {
+    return Status::Corruption("truncated or overlong varint64");
+  }
+  input->RemovePrefix(static_cast<size_t>(q - p));
+  return Status::OK();
+}
+
+const char* GetVarint64PtrSlow(const char* p, const char* limit,
+                               uint64_t* value) {
   uint64_t result = 0;
-  for (uint32_t shift = 0; shift <= 63 && !input->empty(); shift += 7) {
-    uint64_t byte =
-        static_cast<unsigned char>((*input)[0]);
-    input->RemovePrefix(1);
+  for (uint32_t shift = 0; shift <= 63 && p < limit; shift += 7) {
+    uint64_t byte = static_cast<unsigned char>(*p++);
     if (byte & 0x80) {
       result |= (byte & 0x7f) << shift;
     } else {
       result |= byte << shift;
       *value = result;
-      return Status::OK();
+      return p;
     }
   }
-  return Status::Corruption("truncated or overlong varint64");
+  return nullptr;
 }
 
 Status GetVarsint64(Slice* input, int64_t* value) {
   uint64_t v;
   RSTORE_RETURN_IF_ERROR(GetVarint64(input, &v));
   *value = ZigzagDecode(v);
-  return Status::OK();
-}
-
-Status GetLengthPrefixed(Slice* input, Slice* value) {
-  uint64_t len;
-  RSTORE_RETURN_IF_ERROR(GetVarint64(input, &len));
-  if (input->size() < len) {
-    return Status::Corruption("truncated length-prefixed field");
-  }
-  *value = Slice(input->data(), len);
-  input->RemovePrefix(len);
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "compress/bitmap.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/coding.h"
@@ -53,24 +54,30 @@ void Bitmap::IntersectWith(const Bitmap& other) {
 }
 
 void Bitmap::SerializeTo(std::string* out) const {
-  PutVarint64(out, size_);
+  SerializeWords(words_.data(), size_, out);
+}
+
+void Bitmap::SerializeWords(const uint64_t* words, size_t size,
+                            std::string* out) {
+  PutVarint64(out, size);
   // Token stream: (count << 2 | kind). kind 0 = run of zero words,
   // kind 1 = run of all-one words, kind 2 = literal words (count follows
   // inline as fixed64 each).
+  const size_t n = (size + 63) / 64;
   size_t i = 0;
-  while (i < words_.size()) {
-    uint64_t w = words_[i];
+  while (i < n) {
+    uint64_t w = words[i];
     if (w == 0 || w == ~0ull) {
       size_t j = i;
-      while (j < words_.size() && words_[j] == w) ++j;
+      while (j < n && words[j] == w) ++j;
       uint64_t kind = (w == 0) ? 0 : 1;
       PutVarint64(out, ((j - i) << 2) | kind);
       i = j;
     } else {
       size_t j = i;
-      while (j < words_.size() && words_[j] != 0 && words_[j] != ~0ull) ++j;
+      while (j < n && words[j] != 0 && words[j] != ~0ull) ++j;
       PutVarint64(out, ((j - i) << 2) | 2);
-      for (size_t k = i; k < j; ++k) PutFixed64(out, words_[k]);
+      for (size_t k = i; k < j; ++k) PutFixed64(out, words[k]);
       i = j;
     }
   }
@@ -79,48 +86,53 @@ void Bitmap::SerializeTo(std::string* out) const {
 Status Bitmap::DeserializeFrom(Slice* input, Bitmap* out) {
   uint64_t size;
   RSTORE_RETURN_IF_ERROR(GetVarint64(input, &size));
-  // The size is untrusted: cap the allocation far above any legitimate
-  // bitmap (chunk maps cover at most a chunk's records) but far below
-  // memory exhaustion.
-  constexpr uint64_t kMaxBits = 1ull << 26;  // 64M bits / 8 MB of words
   if (size > kMaxBits) {
     return Status::Corruption("bitmap size implausibly large");
   }
   Bitmap result(size);
-  size_t word_count = (size + 63) / 64;
+  RSTORE_RETURN_IF_ERROR(
+      DeserializeWords(input, size, result.words_.data()));
+  *out = std::move(result);
+  return Status::OK();
+}
+
+Status Bitmap::DeserializeWords(Slice* input, size_t size, uint64_t* words) {
+  const size_t word_count = (size + 63) / 64;
   size_t filled = 0;
   while (filled < word_count) {
     uint64_t token;
     RSTORE_RETURN_IF_ERROR(GetVarint64(input, &token));
     uint64_t count = token >> 2;
     uint64_t kind = token & 3;
-    if (filled + count > word_count) {
+    if (count > word_count - filled) {
       return Status::Corruption("bitmap: word overrun");
     }
     switch (kind) {
       case 0:
-        filled += count;
+        std::fill_n(words + filled, count, 0);
         break;
       case 1:
-        for (uint64_t k = 0; k < count; ++k) result.words_[filled++] = ~0ull;
+        std::fill_n(words + filled, count, ~0ull);
         break;
       case 2:
-        for (uint64_t k = 0; k < count; ++k) {
-          uint64_t w;
-          RSTORE_RETURN_IF_ERROR(GetFixed64(input, &w));
-          result.words_[filled++] = w;
+        if (input->size() / 8 < count) {
+          return Status::Corruption("truncated fixed64");
         }
+        for (uint64_t k = 0; k < count; ++k) {
+          words[filled + k] = DecodeFixed64(input->data() + 8 * k);
+        }
+        input->RemovePrefix(8 * count);
         break;
       default:
         return Status::Corruption("bitmap: bad token kind");
     }
+    filled += count;
   }
-  // Trailing bits beyond `size` in the last word must be zero for the
-  // equality operator to be meaningful.
-  if (size % 64 != 0 && !result.words_.empty()) {
-    result.words_.back() &= (1ull << (size % 64)) - 1;
+  // Trailing bits beyond `size` in the last word must be zero for equality
+  // to be meaningful.
+  if (size % 64 != 0) {
+    words[word_count - 1] &= (1ull << (size % 64)) - 1;
   }
-  *out = std::move(result);
   return Status::OK();
 }
 

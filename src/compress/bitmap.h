@@ -43,6 +43,21 @@ class Bitmap {
   void SerializeTo(std::string* out) const;
   static Status DeserializeFrom(Slice* input, Bitmap* out);
 
+  /// Largest size a serialized bitmap may claim: far above any legitimate
+  /// bitmap (chunk maps cover at most a chunk's records), far below memory
+  /// exhaustion.
+  static constexpr uint64_t kMaxBits = uint64_t{1} << 26;
+
+  /// The wire codec over a bare word array, shared with ChunkMap, which
+  /// keeps its rows in one flat array. SerializeWords writes what
+  /// SerializeTo writes for a bitmap of `size` bits whose words are
+  /// `words[0, ceil(size / 64))`. DeserializeWords parses the token stream
+  /// that follows the size header into exactly that many words and clears
+  /// the bits past `size`.
+  static void SerializeWords(const uint64_t* words, size_t size,
+                             std::string* out);
+  static Status DeserializeWords(Slice* input, size_t size, uint64_t* words);
+
   bool operator==(const Bitmap& other) const {
     return size_ == other.size_ && words_ == other.words_;
   }

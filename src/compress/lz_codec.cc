@@ -1,5 +1,6 @@
 #include "compress/lz_codec.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -158,47 +159,105 @@ void Compress(Slice input, std::string* output) {
   }
 }
 
+namespace {
+
+// Spare bytes kept past the logical end of the output buffer, so short
+// literals and matches can be copied as one fixed 16-byte block and
+// overlapping matches in whole 8-byte steps, overshooting into the slack.
+// The overshoot is always overwritten by later output or trimmed off.
+constexpr size_t kOutputSlack = 16;
+
+inline void Copy8(char* dst, const char* src) {
+  uint64_t v;
+  std::memcpy(&v, src, 8);
+  std::memcpy(dst, &v, 8);
+}
+
+inline void Copy16(char* dst, const char* src) {
+  char v[16];
+  std::memcpy(v, src, 16);
+  std::memcpy(dst, v, 16);
+}
+
+}  // namespace
+
 Status Decompress(Slice input, std::string* output) {
-  output->clear();
   uint64_t expected;
   RSTORE_RETURN_IF_ERROR(GetVarint64(&input, &expected));
   // The header size is untrusted; cap it (a frame legitimately larger than
-  // this would be split upstream — chunks are ~1 MB) and reserve
-  // conservatively so a lying header cannot trigger a huge allocation or an
-  // unbounded RLE expansion loop.
+  // this would be split upstream — chunks are ~1 MB), start the buffer at
+  // no more than 1 MB and grow it geometrically, so a lying header cannot
+  // trigger a huge allocation or an unbounded RLE expansion loop.
   constexpr uint64_t kMaxFrameBytes = 1ull << 28;
   if (expected > kMaxFrameBytes) {
     return Status::Corruption("lz: implausible frame size");
   }
-  output->reserve(std::min<uint64_t>(expected, 1u << 20));
-  while (!input.empty()) {
+  // `output` is a write buffer from here on: its old bytes are overwritten,
+  // and keeping its size (rather than clearing it) spares a reused buffer
+  // from being zero-filled again.
+  size_t capacity = std::min<uint64_t>(expected, 1u << 20);
+  if (output->size() < capacity + kOutputSlack) {
+    output->resize(capacity + kOutputSlack);
+  }
+  capacity = output->size() - kOutputSlack;
+  char* out = output->data();
+  // Ensures room for `need` <= expected bytes of output.
+  auto reserve = [&](size_t need) {
+    if (need <= capacity) return;
+    capacity = std::min<uint64_t>(std::max(need, 2 * capacity), expected);
+    output->resize(capacity + kOutputSlack);
+    out = output->data();
+  };
+
+  const char* ip = input.data();
+  const char* const end = ip + input.size();
+  size_t pos = 0;
+  while (ip < end) {
     uint64_t token;
-    RSTORE_RETURN_IF_ERROR(GetVarint64(&input, &token));
-    uint64_t len = token >> 1;
+    ip = GetVarint64Ptr(ip, end, &token);
+    if (ip == nullptr) return Status::Corruption("lz: truncated token");
+    const uint64_t len = token >> 1;
     if ((token & 1) == 0) {
-      if (input.size() < len) return Status::Corruption("lz: truncated literals");
-      output->append(input.data(), len);
-      input.RemovePrefix(len);
+      const auto available = static_cast<size_t>(end - ip);
+      if (available < len) return Status::Corruption("lz: truncated literals");
+      if (len > expected - pos) return Status::Corruption("lz: output overrun");
+      reserve(pos + len);
+      if (len <= 16 && available >= 16) {
+        Copy16(out + pos, ip);
+      } else {
+        std::memcpy(out + pos, ip, len);
+      }
+      ip += len;
+      pos += len;
     } else {
       uint64_t distance;
-      RSTORE_RETURN_IF_ERROR(GetVarint64(&input, &distance));
-      if (distance == 0 || distance > output->size()) {
+      ip = GetVarint64Ptr(ip, end, &distance);
+      if (ip == nullptr) return Status::Corruption("lz: truncated distance");
+      if (distance == 0 || distance > pos) {
         return Status::Corruption("lz: match distance out of range");
       }
-      if (output->size() + len > expected) {
-        return Status::Corruption("lz: output overrun");
+      if (len > expected - pos) return Status::Corruption("lz: output overrun");
+      reserve(pos + len);
+      char* op = out + pos;
+      const char* src = op - distance;
+      if (len <= 16 && distance >= 16) {
+        Copy16(op, src);
+      } else if (distance >= len) {
+        std::memcpy(op, src, len);
+      } else if (distance >= 8) {
+        // Overlapping: each 8-byte step reads only bytes already written.
+        for (size_t k = 0; k < len; k += 8) Copy8(op + k, src + k);
+      } else {
+        // distance < 8 replicates a short period byte by byte (RLE).
+        for (size_t k = 0; k < len; ++k) op[k] = src[k];
       }
-      // Byte-at-a-time copy: overlapping matches (distance < len) are the
-      // RLE case and must replicate already-written bytes.
-      size_t src = output->size() - distance;
-      for (uint64_t k = 0; k < len; ++k) {
-        output->push_back((*output)[src + k]);
-      }
+      pos += len;
     }
   }
-  if (output->size() != expected) {
+  if (pos != expected) {
     return Status::Corruption("lz: size mismatch after decompress");
   }
+  output->resize(expected);
   return Status::OK();
 }
 

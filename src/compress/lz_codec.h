@@ -31,8 +31,11 @@ namespace lz {
 /// across calls.
 void Compress(Slice input, std::string* output);
 
-/// Decompresses a buffer produced by Compress. Returns kCorruption on any
-/// malformed framing (bad varint, out-of-range match, size mismatch).
+/// Decompresses a buffer produced by Compress into `*output`, replacing its
+/// contents (a reused output string keeps its capacity, so decoding into it
+/// again allocates nothing). Returns kCorruption on any malformed framing
+/// (bad varint, out-of-range match, overrun, size mismatch); `*output` is
+/// then unspecified.
 Status Decompress(Slice input, std::string* output);
 
 /// Uncompressed size recorded in the frame header (cheap peek).

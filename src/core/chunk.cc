@@ -1,6 +1,6 @@
 #include "core/chunk.h"
 
-#include <map>
+#include <algorithm>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -46,8 +46,9 @@ Result<std::string> Chunk::ExtractPayload(
     const CompositeKey& ck, const SubChunk::PayloadResolver& resolver) const {
   for (uint32_t i = 0; i < records_.size(); ++i) {
     if (records_[i] == ck) {
-      return sub_chunks_[sub_chunk_of_record_[i]].ExtractPayload(ck,
-                                                                 resolver);
+      auto extracted = ExtractRecords({i}, resolver);
+      if (!extracted.ok()) return extracted.status();
+      return std::move(extracted.value()[0].second);
     }
   }
   return Status::NotFound("record " + ck.ToString() + " not in chunk");
@@ -56,28 +57,37 @@ Result<std::string> Chunk::ExtractPayload(
 Result<std::vector<std::pair<CompositeKey, std::string>>>
 Chunk::ExtractRecords(const std::vector<uint32_t>& record_indices,
                       const SubChunk::PayloadResolver& resolver) const {
-  // Group requested records by owning sub-chunk so each sub-chunk is
-  // decompressed exactly once.
-  std::map<uint32_t, std::vector<uint32_t>> by_sub_chunk;
   for (uint32_t idx : record_indices) {
     if (idx >= records_.size()) {
       return Status::InvalidArgument("record index out of range");
     }
-    by_sub_chunk[sub_chunk_of_record_[idx]].push_back(idx);
   }
   std::vector<std::pair<CompositeKey, std::string>> out;
   out.reserve(record_indices.size());
-  for (const auto& [sub_index, indices] : by_sub_chunk) {
-    const SubChunk& sc = sub_chunks_[sub_index];
-    auto payloads = sc.ExtractAllPayloads(resolver);
-    if (!payloads.ok()) return payloads.status();
+  std::vector<uint32_t> members;
+  std::vector<std::string> payloads;
+  // One ExtractMembers call per run of indices in the same sub-chunk. A
+  // version's indices ascend, so each sub-chunk it touches is one run.
+  for (size_t i = 0; i < record_indices.size();) {
+    const uint32_t sub = sub_chunk_of_record_[record_indices[i]];
     // First record index of this sub-chunk in the flattened list.
-    uint32_t base = indices[0];
-    while (base > 0 && sub_chunk_of_record_[base - 1] == sub_index) --base;
-    for (uint32_t idx : indices) {
-      out.emplace_back(records_[idx],
-                       std::move(payloads.value()[idx - base]));
+    uint32_t base = record_indices[i];
+    while (base > 0 && sub_chunk_of_record_[base - 1] == sub) --base;
+    members.clear();
+    size_t j = i;
+    for (; j < record_indices.size() &&
+           sub_chunk_of_record_[record_indices[j]] == sub;
+         ++j) {
+      members.push_back(record_indices[j] - base);
     }
+    payloads.clear();
+    RSTORE_RETURN_IF_ERROR(
+        sub_chunks_[sub].ExtractMembers(members, resolver, &payloads));
+    for (size_t k = i; k < j; ++k) {
+      out.emplace_back(records_[record_indices[k]],
+                       std::move(payloads[k - i]));
+    }
+    i = j;
   }
   return out;
 }
@@ -99,10 +109,26 @@ Status Chunk::DecodeFrom(Slice* input, Chunk* out) {
   RSTORE_RETURN_IF_ERROR(GetVarint64(input, &out->id_));
   uint64_t count;
   RSTORE_RETURN_IF_ERROR(GetVarint64(input, &count));
+  // Untrusted count: an encoded sub-chunk takes at least seven bytes (member
+  // count, key length, version, parent, codec, raw size, blob length), so
+  // reserve no more slots than the input could hold.
+  constexpr size_t kMinSubChunkBytes = 7;
+  out->sub_chunks_.reserve(
+      std::min<uint64_t>(count, input->size() / kMinSubChunkBytes));
+  size_t records = 0;
   for (uint64_t i = 0; i < count; ++i) {
-    SubChunk sc;
+    SubChunk& sc = out->sub_chunks_.emplace_back();
     RSTORE_RETURN_IF_ERROR(SubChunk::DecodeFrom(input, &sc));
-    out->AddSubChunk(std::move(sc));
+    records += sc.num_records();
+    out->payload_bytes_ += sc.serialized_size();
+  }
+  out->records_.reserve(records);
+  out->sub_chunk_of_record_.reserve(records);
+  for (uint32_t s = 0; s < out->sub_chunks_.size(); ++s) {
+    for (const CompositeKey& ck : out->sub_chunks_[s].keys()) {
+      out->records_.push_back(ck);
+      out->sub_chunk_of_record_.push_back(s);
+    }
   }
   RSTORE_DCHECK(out->Validate().ok()) << "decoded chunk fails validation";
   return Status::OK();

@@ -50,15 +50,17 @@ class Chunk {
   /// Flattened record list; chunk-map bitmap indices refer to it.
   const std::vector<CompositeKey>& records() const { return records_; }
 
-  /// Payload of one record (searches the owning sub-chunk and reconstructs
-  /// its delta chain). kNotFound if absent. A resolver is needed when the
-  /// record is delta-encoded against a base outside this chunk.
+  /// Payload of one record (searches the record list, then rebuilds the
+  /// record's delta chain). kNotFound if absent. A resolver is needed when
+  /// the record is delta-encoded against a base outside this chunk.
   Result<std::string> ExtractPayload(
       const CompositeKey& ck,
       const SubChunk::PayloadResolver& resolver = nullptr) const;
 
   /// Payloads of the records at `record_indices` (as returned by the chunk
-  /// map), decompressing each involved sub-chunk once.
+  /// map), in request order, repeats allowed. Each run of indices in one
+  /// sub-chunk inflates it once and applies only the deltas the run needs,
+  /// so ascending indices (a version's) inflate each sub-chunk once.
   Result<std::vector<std::pair<CompositeKey, std::string>>> ExtractRecords(
       const std::vector<uint32_t>& record_indices,
       const SubChunk::PayloadResolver& resolver = nullptr) const;

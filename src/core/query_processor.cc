@@ -696,9 +696,10 @@ Result<Record> QueryProcessor::RecordFromChunks(
     const Chunk& chunk = *chunk_ref;
     for (uint32_t idx : chunk.chunk_map().RecordsOf(version)) {
       if (chunk.records()[idx].key == key) {
-        auto payload = chunk.ExtractPayload(chunk.records()[idx]);
-        if (!payload.ok()) return payload.status();
-        return Record{chunk.records()[idx], std::move(payload.value())};
+        auto extracted = chunk.ExtractRecords({idx});
+        if (!extracted.ok()) return extracted.status();
+        auto& [ck, payload] = extracted.value()[0];
+        return Record{std::move(ck), std::move(payload)};
       }
     }
   }

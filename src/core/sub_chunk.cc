@@ -80,33 +80,143 @@ uint64_t SubChunk::serialized_size() const {
          VarintLength(blob_.size()) + blob_.size();
 }
 
-Result<std::vector<std::string>> SubChunk::ExtractAllPayloads(
-    const PayloadResolver& resolver) const {
-  std::string raw;
-  RSTORE_RETURN_IF_ERROR(
-      GetCompressor(compression_)->Decompress(Slice(blob_), &raw));
-  Slice input(raw);
-  std::vector<std::string> payloads(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    Slice piece;
-    RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(&input, &piece));
-    if (parent_index_[i] == kExternalParent) {
-      if (!resolver) {
-        return Status::InvalidArgument(
-            "sub-chunk member " + keys_[i].ToString() +
-            " needs an external base record but no resolver was given");
-      }
-      auto base = resolver(external_parents_[i]);
-      if (!base.ok()) return base.status();
-      RSTORE_RETURN_IF_ERROR(
-          delta_codec::Apply(Slice(*base), piece, &payloads[i]));
-    } else if (i == 0) {
-      payloads[0] = piece.ToString();
-    } else {
-      RSTORE_RETURN_IF_ERROR(delta_codec::Apply(
-          Slice(payloads[parent_index_[i]]), piece, &payloads[i]));
+namespace {
+
+/// Per-thread buffers of ExtractMembers, reused across calls so a warm
+/// extraction allocates only the returned payloads.
+struct ExtractScratch {
+  std::string raw;              // the inflated blob
+  std::vector<Slice> pieces;    // member i's stored payload or delta
+  std::vector<Slice> payloads;  // member i's rebuilt payload
+  std::vector<uint32_t> slot;   // member i's first position in `wanted`
+  std::vector<uint8_t> needed;  // member i is wanted or an ancestor of one
+  std::vector<std::string> ancestors;  // rebuilt needed-but-unwanted members
+  bool busy = false;
+};
+
+constexpr uint32_t kNotWanted = UINT32_MAX;
+// A buffer grown past this by one large sub-chunk is freed after the call,
+// so it is not pinned for the life of the thread.
+constexpr size_t kMaxRetainedBytes = size_t{1} << 18;
+
+/// The thread's scratch, or a fresh one if a resolver re-enters
+/// ExtractMembers on the same thread while the thread's is in use.
+class ScratchLease {
+ public:
+  ScratchLease() : scratch_(tls_.busy ? &local_ : &tls_) {
+    scratch_->busy = true;
+  }
+  ~ScratchLease() {
+    scratch_->busy = false;
+    if (scratch_->raw.capacity() > kMaxRetainedBytes) {
+      std::string().swap(scratch_->raw);
+    }
+    for (std::string& s : scratch_->ancestors) {
+      if (s.capacity() > kMaxRetainedBytes) std::string().swap(s);
     }
   }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+  ExtractScratch& operator*() { return *scratch_; }
+
+ private:
+  static thread_local ExtractScratch tls_;
+  ExtractScratch local_;
+  ExtractScratch* scratch_;
+};
+
+thread_local ExtractScratch ScratchLease::tls_;
+
+}  // namespace
+
+Status SubChunk::ExtractMembers(std::span<const uint32_t> wanted,
+                                const PayloadResolver& resolver,
+                                std::vector<std::string>* out) const {
+  const auto n = static_cast<uint32_t>(keys_.size());
+  for (uint32_t m : wanted) {
+    if (m >= n) {
+      return Status::InvalidArgument("sub-chunk member index out of range");
+    }
+  }
+  ScratchLease lease;
+  ExtractScratch& s = *lease;
+  RSTORE_RETURN_IF_ERROR(
+      GetCompressor(compression_)->Decompress(Slice(blob_), &s.raw));
+  s.pieces.resize(n);
+  Slice input(s.raw);
+  for (uint32_t i = 0; i < n; ++i) {
+    RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(&input, &s.pieces[i]));
+  }
+
+  // Mark the wanted members and their ancestors inside this sub-chunk.
+  s.slot.assign(n, kNotWanted);
+  s.needed.assign(n, 0);
+  for (size_t k = 0; k < wanted.size(); ++k) {
+    uint32_t i = wanted[k];
+    if (s.slot[i] == kNotWanted) s.slot[i] = static_cast<uint32_t>(k);
+    while (!s.needed[i]) {
+      s.needed[i] = 1;
+      if (i == 0 || parent_index_[i] == kExternalParent) break;
+      i = parent_index_[i];
+    }
+  }
+
+  // Rebuild the marked members; parents precede children. A wanted member
+  // is built straight into its output string, the others into scratch. `out`
+  // is not resized again below, so slices of its strings stay valid.
+  const size_t first = out->size();
+  out->resize(first + wanted.size());
+  s.payloads.resize(n);
+  if (s.ancestors.size() < n) s.ancestors.resize(n);
+  Status status;
+  for (uint32_t i = 0; i < n && status.ok(); ++i) {
+    if (!s.needed[i]) continue;
+    std::string* dst = s.slot[i] != kNotWanted ? &(*out)[first + s.slot[i]]
+                                               : &s.ancestors[i];
+    if (parent_index_[i] == kExternalParent) {
+      if (!resolver) {
+        status = Status::InvalidArgument(
+            "sub-chunk member " + keys_[i].ToString() +
+            " needs an external base record but no resolver was given");
+        break;
+      }
+      auto base = resolver(external_parents_[i]);
+      status = base.ok() ? delta_codec::Apply(Slice(*base), s.pieces[i], dst)
+                         : base.status();
+      s.payloads[i] = Slice(*dst);
+    } else if (i == 0) {
+      // The head is stored whole: a slice of the inflated blob.
+      s.payloads[0] = s.pieces[0];
+      if (s.slot[0] != kNotWanted) {
+        dst->assign(s.pieces[0].data(), s.pieces[0].size());
+      }
+    } else {
+      status = delta_codec::Apply(s.payloads[parent_index_[i]], s.pieces[i],
+                                  dst);
+      s.payloads[i] = Slice(*dst);
+    }
+  }
+  if (!status.ok()) {
+    out->resize(first);
+    return status;
+  }
+  // Repeated entries copy the payload built for the first.
+  for (size_t k = 0; k < wanted.size(); ++k) {
+    const uint32_t i = wanted[k];
+    if (s.slot[i] != k) {
+      (*out)[first + k].assign(s.payloads[i].data(), s.payloads[i].size());
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<std::string>> SubChunk::ExtractAllPayloads(
+    const PayloadResolver& resolver) const {
+  std::vector<uint32_t> all(keys_.size());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  std::vector<std::string> payloads;
+  payloads.reserve(all.size());
+  RSTORE_RETURN_IF_ERROR(ExtractMembers(all, resolver, &payloads));
   return payloads;
 }
 
@@ -116,11 +226,11 @@ Result<std::string> SubChunk::ExtractPayload(
   if (it == keys_.end()) {
     return Status::NotFound("record " + ck.ToString() + " not in sub-chunk");
   }
-  // Reconstruct only the chain head..target (parents always precede).
-  auto payloads = ExtractAllPayloads(resolver);
-  if (!payloads.ok()) return payloads.status();
-  return std::move(
-      payloads.value()[static_cast<size_t>(it - keys_.begin())]);
+  const auto member = static_cast<uint32_t>(it - keys_.begin());
+  std::vector<std::string> payload;
+  RSTORE_RETURN_IF_ERROR(
+      ExtractMembers(std::span(&member, 1), resolver, &payload));
+  return std::move(payload[0]);
 }
 
 void SubChunk::EncodeTo(std::string* out) const {
@@ -153,11 +263,11 @@ Status SubChunk::DecodeFrom(Slice* input, SubChunk* out) {
   out->parent_index_.reserve(count);
   out->external_parents_.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    CompositeKey key;
+    RSTORE_RETURN_IF_ERROR(
+        CompositeKey::DecodeFrom(input, &out->keys_.emplace_back()));
     uint32_t parent;
-    RSTORE_RETURN_IF_ERROR(CompositeKey::DecodeFrom(input, &key));
     RSTORE_RETURN_IF_ERROR(GetVarint32(input, &parent));
-    CompositeKey external;
+    CompositeKey& external = out->external_parents_.emplace_back();
     if (parent == kExternalParent) {
       RSTORE_RETURN_IF_ERROR(CompositeKey::DecodeFrom(input, &external));
     } else if (i == 0 && parent != 0) {
@@ -165,9 +275,7 @@ Status SubChunk::DecodeFrom(Slice* input, SubChunk* out) {
     } else if (i > 0 && parent >= i) {
       return Status::Corruption("sub-chunk parent index out of order");
     }
-    out->keys_.push_back(std::move(key));
     out->parent_index_.push_back(parent);
-    out->external_parents_.push_back(std::move(external));
   }
   if (input->empty()) return Status::Corruption("truncated sub-chunk");
   // Any other byte would otherwise reach GetCompressor and be decoded with

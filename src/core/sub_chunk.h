@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,10 +88,18 @@ class SubChunk {
   /// (extraction then requires a resolver).
   bool HasExternalParents() const;
 
-  /// Decompresses and reconstructs the payload of one member.
+  /// Appends to `*out` the payloads of the members at `wanted` (indices into
+  /// keys(), in any order, repeats allowed), one per entry and in the same
+  /// order. The blob is inflated once into per-thread scratch, and only the
+  /// deltas on the wanted members' parent chains are applied. On failure
+  /// `*out` is left as it was.
+  Status ExtractMembers(std::span<const uint32_t> wanted,
+                        const PayloadResolver& resolver,
+                        std::vector<std::string>* out) const;
+  /// Reconstructs the payload of one member.
   Result<std::string> ExtractPayload(
       const CompositeKey& ck, const PayloadResolver& resolver = nullptr) const;
-  /// Reconstructs every member payload (cheaper than repeated Extract).
+  /// Reconstructs every member payload, in member order.
   Result<std::vector<std::string>> ExtractAllPayloads(
       const PayloadResolver& resolver = nullptr) const;
 

@@ -57,7 +57,7 @@ struct CompositeKey {
     RSTORE_RETURN_IF_ERROR(GetLengthPrefixed(input, &k));
     uint32_t v;
     RSTORE_RETURN_IF_ERROR(GetVarint32(input, &v));
-    out->key = k.ToString();
+    out->key.assign(k.data(), k.size());
     out->version = v;
     return Status::OK();
   }

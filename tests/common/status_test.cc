@@ -126,6 +126,17 @@ TEST(ResultTest, MoveOnlyValue) {
   EXPECT_EQ(*v, 5);
 }
 
+TEST(ResultTest, DereferencingAnRvalueMoves) {
+  // Compiles only if `*std::move(r)` yields T&&: unique_ptr cannot be
+  // copied out of the const& overload.
+  Result<std::unique_ptr<int>> r = std::make_unique<int>(9);
+  ASSERT_TRUE(r.ok());
+  static_assert(std::is_same_v<decltype(*std::move(r)),
+                               std::unique_ptr<int>&&>);
+  std::unique_ptr<int> v = *std::move(r);
+  EXPECT_EQ(*v, 9);
+}
+
 TEST(ResultTest, ArrowOperator) {
   Result<std::string> r = std::string("hello");
   EXPECT_EQ(r->size(), 5u);

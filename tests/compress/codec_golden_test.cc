@@ -14,6 +14,9 @@
 // positions share one anchor hash, so the encoder's "first base position
 // wins" rule decides the COPY offsets it emits.
 //
+// A second test decodes the same corpus and checks that lz::Decompress and
+// delta_codec::Apply invert their encoders exactly.
+//
 // To regenerate after a deliberate format change, run the test with
 // RSTORE_PRINT_CODEC_GOLDEN=1 and paste the printed table into
 // codec_golden_digests.inc.
@@ -193,34 +196,63 @@ struct Digest {
   uint64_t digest;
 };
 
-std::vector<Digest> ComputeDigests() {
-  std::vector<Digest> out;
+/// Receives the seeded corpus: every compressor input and every delta
+/// (base, target) pair of one shape, then the end of that shape.
+class CorpusVisitor {
+ public:
+  virtual ~CorpusVisitor() = default;
+  virtual void Lz(const std::string& input) = 0;
+  virtual void Delta(const std::string& base, const std::string& target) = 0;
+  virtual void EndShape(const char* name) = 0;
+};
+
+void VisitCorpus(CorpusVisitor* visitor) {
   uint64_t seed = 0x601d;
   for (const Shape& shape : kShapes) {
     Random rng(seed++);
-    DigestAccumulator lz_acc;
-    std::string compressed;
     for (size_t n : CorpusSizes(&rng, kInputsPerShape)) {
-      lz::Compress(Slice(shape.gen(&rng, n)), &compressed);
-      lz_acc.Add(compressed);
+      visitor->Lz(shape.gen(&rng, n));
     }
-    DigestAccumulator delta_acc;
-    std::string delta;
     for (size_t n : CorpusSizes(&rng, kDeltaPairsPerShape)) {
       std::string base = shape.gen(&rng, n);
       std::string target = Edit(&rng, base);
-      delta_codec::Encode(Slice(base), Slice(target), &delta);
-      delta_acc.Add(delta);
+      visitor->Delta(base, target);
       // The reverse direction too: the base then lacks the target's edits.
-      delta_codec::Encode(Slice(target), Slice(base), &delta);
-      delta_acc.Add(delta);
+      visitor->Delta(target, base);
     }
-    out.push_back({std::string("lz/") + shape.name, lz_acc.count(),
-                   lz_acc.total_bytes(), lz_acc.digest()});
-    out.push_back({std::string("delta/") + shape.name, delta_acc.count(),
-                   delta_acc.total_bytes(), delta_acc.digest()});
+    visitor->EndShape(shape.name);
   }
-  return out;
+}
+
+std::vector<Digest> ComputeDigests() {
+  class Digester : public CorpusVisitor {
+   public:
+    void Lz(const std::string& input) override {
+      lz::Compress(Slice(input), &scratch_);
+      lz_.Add(scratch_);
+    }
+    void Delta(const std::string& base, const std::string& target) override {
+      delta_codec::Encode(Slice(base), Slice(target), &scratch_);
+      delta_.Add(scratch_);
+    }
+    void EndShape(const char* name) override {
+      out.push_back({std::string("lz/") + name, lz_.count(),
+                     lz_.total_bytes(), lz_.digest()});
+      out.push_back({std::string("delta/") + name, delta_.count(),
+                     delta_.total_bytes(), delta_.digest()});
+      lz_ = DigestAccumulator();
+      delta_ = DigestAccumulator();
+    }
+    std::vector<Digest> out;
+
+   private:
+    std::string scratch_;
+    DigestAccumulator lz_;
+    DigestAccumulator delta_;
+  };
+  Digester digester;
+  VisitCorpus(&digester);
+  return digester.out;
 }
 
 TEST(CodecGoldenTest, EncoderOutputMatchesCommittedDigests) {
@@ -241,6 +273,37 @@ TEST(CodecGoldenTest, EncoderOutputMatchesCommittedDigests) {
     EXPECT_EQ(actual[i].total_output_bytes, kGolden[i].total_output_bytes);
     EXPECT_EQ(actual[i].digest, kGolden[i].digest);
   }
+}
+
+// The decoders invert the encoders over the same corpus. The output
+// strings are reused across calls, as the read path reuses its scratch.
+TEST(CodecGoldenTest, DecodersRoundTripCorpus) {
+  class RoundTripper : public CorpusVisitor {
+   public:
+    void Lz(const std::string& input) override {
+      lz::Compress(Slice(input), &encoded_);
+      ASSERT_TRUE(lz::Decompress(Slice(encoded_), &decoded_).ok());
+      EXPECT_EQ(decoded_, input);
+      ++inputs;
+    }
+    void Delta(const std::string& base, const std::string& target) override {
+      delta_codec::Encode(Slice(base), Slice(target), &encoded_);
+      ASSERT_TRUE(
+          delta_codec::Apply(Slice(base), Slice(encoded_), &decoded_).ok());
+      EXPECT_EQ(decoded_, target);
+      ++inputs;
+    }
+    void EndShape(const char*) override {}
+    int inputs = 0;
+
+   private:
+    std::string encoded_;
+    std::string decoded_;
+  };
+  RoundTripper round_tripper;
+  VisitCorpus(&round_tripper);
+  EXPECT_EQ(round_tripper.inputs,
+            4 * (kInputsPerShape + 2 * kDeltaPairsPerShape));
 }
 
 }  // namespace

@@ -62,6 +62,35 @@ TEST(ChunkMapTest, DecodeRejectsSizeMismatch) {
   EXPECT_FALSE(ChunkMap::DecodeFrom(&in, &decoded).ok());
 }
 
+TEST(ChunkMapTest, VersionsAddedOutOfOrderStaySorted) {
+  ChunkMap map(70);
+  map.Add(9, 69);
+  map.Add(3, 0);
+  map.Add(9, 1);
+  map.Add(5, 64);
+  map.Add(3, 65);
+  EXPECT_EQ(map.Versions(), (std::vector<VersionId>{3, 5, 9}));
+  EXPECT_EQ(map.RecordsOf(3), (std::vector<uint32_t>{0, 65}));
+  EXPECT_EQ(map.RecordsOf(5), (std::vector<uint32_t>{64}));
+  EXPECT_EQ(map.RecordsOf(9), (std::vector<uint32_t>{1, 69}));
+}
+
+TEST(ChunkMapTest, DecodeRejectsUnorderedVersions) {
+  ChunkMap map(3);
+  map.Add(1, 0);
+  map.Add(2, 1);
+  std::string buf;
+  map.EncodeTo(&buf);
+  // Wire: record count, version count, then per version its id and bitmap
+  // (size varint + one literal-word token + 8 bytes). Swap the two ids.
+  ASSERT_EQ(buf[2], 1);
+  ASSERT_EQ(buf[2 + 11], 2);
+  std::swap(buf[2], buf[2 + 11]);
+  Slice in(buf);
+  ChunkMap decoded;
+  EXPECT_TRUE(ChunkMap::DecodeFrom(&in, &decoded).IsCorruption());
+}
+
 TEST(ChunkTest, FlattenedRecordList) {
   Chunk chunk(7);
   EXPECT_EQ(chunk.id(), 7u);
@@ -96,6 +125,30 @@ TEST(ChunkTest, ExtractPayloadAndRecords) {
   EXPECT_EQ((*records)[1].second, "payload-b1");
 
   EXPECT_FALSE(chunk.ExtractRecords({9}).ok());
+}
+
+// Indices come back in request order, and a repeated index yields its
+// payload every time (a moved-from string once came back for the repeat).
+TEST(ChunkTest, ExtractRecordsRepeatedAndUnorderedIndices) {
+  Chunk chunk(1);
+  chunk.AddSubChunk(MakeSubChunk("A", {{0, "payload-a0"}, {2, "payload-a2"}}));
+  chunk.AddSubChunk(MakeSubChunk("B", {{1, "payload-b1"}}));
+
+  auto twice = chunk.ExtractRecords({0, 0});
+  ASSERT_TRUE(twice.ok());
+  ASSERT_EQ(twice->size(), 2u);
+  EXPECT_EQ((*twice)[0].second, "payload-a0");
+  EXPECT_EQ((*twice)[1].second, "payload-a0");
+
+  auto mixed = chunk.ExtractRecords({2, 1, 0, 1, 2});
+  ASSERT_TRUE(mixed.ok());
+  std::vector<std::string> payloads;
+  for (const auto& [ck, payload] : mixed.value()) payloads.push_back(payload);
+  EXPECT_EQ(payloads,
+            (std::vector<std::string>{"payload-b1", "payload-a2", "payload-a0",
+                                      "payload-a2", "payload-b1"}));
+  EXPECT_EQ((*mixed)[0].first, CompositeKey("B", 1));
+  EXPECT_EQ((*mixed)[1].first, CompositeKey("A", 2));
 }
 
 TEST(ChunkTest, ChunkMapIntegration) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/coding.h"
 #include "common/random.h"
 
@@ -220,6 +222,88 @@ TEST(SubChunkTest, EmptyPayloadsSupported) {
   ASSERT_TRUE(sc.ok());
   EXPECT_EQ(*sc->ExtractPayload(CompositeKey("K", 0)), "");
   EXPECT_EQ(*sc->ExtractPayload(CompositeKey("K", 1)), "");
+}
+
+/// Derives a payload from `base` by a few splices, so deltas against it
+/// mix COPY and ADD ops.
+std::string EditOf(Random* rng, const std::string& base) {
+  std::string out = base;
+  for (int e = 0; e < 3; ++e) {
+    const size_t pos = rng->Uniform(out.size() + 1);
+    out.insert(pos, "edit" + std::to_string(rng->Uniform(1000)));
+  }
+  return out;
+}
+
+// ExtractMembers must return, for any wanted list (any order, repeats,
+// empty), exactly the matching entries of ExtractAllPayloads — which
+// rebuilds every member — over random parent trees, some members based on
+// records outside the sub-chunk.
+TEST(SubChunkTest, ExtractMembersMatchesExtractAllPayloadsProperty) {
+  Random rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.Uniform(12);
+    std::vector<SubChunk::Member> members(n);
+    std::vector<std::string> expected(n);
+    std::map<CompositeKey, std::string> outside;
+    for (size_t i = 0; i < n; ++i) {
+      SubChunk::Member& m = members[i];
+      m.key = CompositeKey("K", static_cast<VersionId>(10 * i + 10));
+      if (rng.Bernoulli(0.15)) {
+        CompositeKey base_key("K", static_cast<VersionId>(10 * i + 5));
+        std::string base = "outside record " + std::to_string(trial * 100 + i) +
+                           std::string(40 + rng.Uniform(200), 'o');
+        outside[base_key] = base;
+        m.external_parent = base_key;
+        m.external_parent_payload = base;
+        m.payload = EditOf(&rng, base);
+      } else if (i == 0) {
+        m.payload = "head " + std::string(rng.Uniform(300), 'h') +
+                    std::to_string(trial);
+      } else {
+        m.parent_index = static_cast<uint32_t>(rng.Uniform(i));
+        m.payload = EditOf(&rng, expected[m.parent_index]);
+      }
+      expected[i] = m.payload;
+    }
+    const CompressionType type =
+        trial % 2 == 0 ? CompressionType::kLZ : CompressionType::kNone;
+    auto sc = SubChunk::Build(std::move(members), type);
+    ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+    auto resolver = [&](const CompositeKey& ck) -> Result<std::string> {
+      auto it = outside.find(ck);
+      if (it == outside.end()) return Status::NotFound(ck.ToString());
+      return it->second;
+    };
+    auto all = sc->ExtractAllPayloads(resolver);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ASSERT_EQ(all.value(), expected) << "trial " << trial;
+
+    for (int subset = 0; subset < 8; ++subset) {
+      std::vector<uint32_t> wanted(rng.Uniform(2 * n + 1));
+      for (uint32_t& w : wanted) w = static_cast<uint32_t>(rng.Uniform(n));
+      std::vector<std::string> out = {"kept"};
+      ASSERT_TRUE(sc->ExtractMembers(wanted, resolver, &out).ok());
+      ASSERT_EQ(out.size(), wanted.size() + 1);
+      EXPECT_EQ(out[0], "kept");
+      for (size_t k = 0; k < wanted.size(); ++k) {
+        EXPECT_EQ(out[k + 1], (*all)[wanted[k]])
+            << "trial " << trial << " member " << wanted[k];
+      }
+    }
+  }
+}
+
+TEST(SubChunkTest, ExtractMembersRejectsBadIndexAndKeepsOutput) {
+  auto sc = SubChunk::Build(
+      {MakeMember("K", 0, 0, "zero"), MakeMember("K", 1, 0, "one")},
+      CompressionType::kLZ);
+  ASSERT_TRUE(sc.ok());
+  std::vector<std::string> out = {"kept"};
+  std::vector<uint32_t> wanted = {1, 2};
+  EXPECT_TRUE(
+      sc->ExtractMembers(wanted, nullptr, &out).IsInvalidArgument());
+  EXPECT_EQ(out, std::vector<std::string>{"kept"});
 }
 
 }  // namespace

@@ -153,6 +153,21 @@ class Future {
     return ValueLocked();
   }
 
+  /// The value of a completed future, by reference: valid while any handle
+  /// to it lives. Never blocks; the future must be ready.
+  const T& value() const {
+    RSTORE_CHECK(ready()) << "Future::value() before completion";
+    return state_->value;  // ready observed under mu: publish protocol
+  }
+
+  /// Moves the value out of a completed future. For the sole reader of the
+  /// value only (a blocking adapter whose continuations all ran inline):
+  /// other handles observe a moved-from value afterwards.
+  T Take() {
+    RSTORE_CHECK(ready()) << "Future::Take() before completion";
+    return std::move(state_->value);
+  }
+
   /// Runs `fn(value)` when the future completes — inline, immediately, if
   /// it already has. `fn` always runs with no locks held.
   void OnReady(std::function<void(const T&)> fn) const {

@@ -52,6 +52,57 @@ bool KeyInRange(const std::string& key, const std::string& lo,
   return key >= lo && key <= hi;
 }
 
+using ReplayedChain =
+    std::unordered_map<CompositeKey, std::string, CompositeKeyHash>;
+
+/// Decompresses every record of a fetched delta chain into `*replayed`, in
+/// chunk order: chunk ids ascend with origin version, so bases precede the
+/// records delta-encoded against them.
+Status ReplayChain(const std::vector<std::shared_ptr<const Chunk>>& chunks,
+                   ReplayedChain* replayed) {
+  SubChunk::PayloadResolver resolver =
+      [replayed](const CompositeKey& ck) -> Result<std::string> {
+    auto it = replayed->find(ck);
+    if (it == replayed->end()) {
+      return Status::Corruption("delta base record " + ck.ToString() +
+                                " not yet replayed");
+    }
+    return it->second;
+  };
+  for (const auto& chunk : chunks) {
+    std::vector<uint32_t> all(chunk->record_count());
+    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+    auto extracted = chunk->ExtractRecords(all, resolver);
+    if (!extracted.ok()) return extracted.status();
+    for (auto& [ck, payload] : extracted.value()) {
+      (*replayed)[ck] = std::move(payload);
+    }
+  }
+  return Status::OK();
+}
+
+/// Opens a query's root span (untraced: a no-op) and counts the query.
+uint32_t StartQuery(TraceContext* trace, const char* name) {
+  QueryMetrics::Get().queries_total->Increment();
+  return trace != nullptr ? trace->StartSpan(name) : TraceSpan::kNoParent;
+}
+
+/// Closes a query's root span, freeing its fetched chunks first: their
+/// teardown is part of the query's own time.
+template <typename Fetch>
+void EndQuery(TraceContext* trace, uint32_t span, Fetch* fetch) {
+  fetch->chunks = {};
+  if (trace != nullptr) trace->EndSpan(span);
+}
+
+/// Moves a successful epilogue's value into `*out`; returns its status.
+template <typename T>
+Status MoveInto(Result<T> result, T* out) {
+  if (!result.ok()) return result.status();
+  *out = *std::move(result);
+  return Status::OK();
+}
+
 }  // namespace
 
 QueryProcessor::QueryProcessor(KVStore* kvs, const StoreCatalog* catalog,
@@ -97,23 +148,21 @@ QueryProcessor::FetchPlan QueryProcessor::PrepareFetch(
   return plan;
 }
 
-Status QueryProcessor::DecodeAndInsert(
-    const std::vector<ChunkId>& ids, FetchPlan* plan,
-    const std::map<std::string, std::string>& chunk_values,
-    const std::map<std::string, std::string>& map_values,
-    const std::vector<KeyReadFailure>& chunk_failures,
-    const std::vector<KeyReadFailure>& map_failures, TraceContext* trace,
-    QueryDegradation* degradation) {
+Status QueryProcessor::DecodeAndInsert(const std::vector<ChunkId>& ids,
+                                       FetchPlan* plan,
+                                       const AsyncMultiGetResult& chunk_batch,
+                                       const AsyncMultiGetResult& map_batch,
+                                       TraceContext* trace,
+                                       QueryDegradation* degradation) {
   const std::vector<size_t>& miss = plan->miss;
+  const std::map<std::string, std::string>& chunk_values = chunk_batch.values;
+  const std::map<std::string, std::string>& map_values = map_batch.values;
   // Index failed keys by name so decode can tell "the backend could not
   // serve it" (degrade) apart from "it does not exist" (corruption). Body
   // and map keys live in different prefixes, so one map fits both.
   std::map<std::string, const Status*> unavailable;
-  for (const KeyReadFailure& f : chunk_failures) {
-    unavailable[f.key] = &f.status;
-  }
-  for (const KeyReadFailure& f : map_failures) {
-    unavailable[f.key] = &f.status;
+  for (const auto* failures : {&chunk_batch.failures, &map_batch.failures}) {
+    for (const KeyReadFailure& f : *failures) unavailable[f.key] = &f.status;
   }
 
   ScopedSpan decode_span(trace, "query.decode");
@@ -192,30 +241,31 @@ Status QueryProcessor::DecodeAndInsert(
 }
 
 uint64_t QueryProcessor::AccountFetch(const std::vector<ChunkId>& ids,
-                                      const FetchPlan& plan, uint64_t bytes,
-                                      uint64_t micros, uint64_t queue_us,
-                                      uint64_t service_us, uint64_t retry_us,
-                                      uint64_t hedge_us, QueryStats* stats) {
+                                      const FetchPlan& plan,
+                                      const AsyncMultiGetResult& chunk_batch,
+                                      const AsyncMultiGetResult& map_batch,
+                                      QueryStats* stats) {
   uint64_t n_missing = 0;
   for (const ChunkRef& chunk : plan.chunks) {
     if (chunk == nullptr) ++n_missing;
   }
   // chunks_fetched stays the query's span (paper §2.5) regardless of the
   // cache; bytes/latency only count traffic that reached the backend.
-  if (stats != nullptr) {
-    stats->chunks_fetched += ids.size();
-    stats->bytes_fetched += bytes;
-    stats->simulated_micros += micros;
-    stats->queue_wait_us += queue_us;
-    stats->service_us += service_us;
-    stats->retry_penalty_us += retry_us;
-    stats->hedge_delta_us += hedge_us;
-    if (cache_ != nullptr) {
-      stats->cache_hits += ids.size() - plan.miss.size();
-      stats->cache_misses += plan.miss.size();
-    }
-    stats->missing_chunks += n_missing;
+  const uint64_t bytes = chunk_batch.bytes_read + map_batch.bytes_read;
+  const uint64_t micros = chunk_batch.charged_micros + map_batch.charged_micros;
+  stats->chunks_fetched += ids.size();
+  stats->bytes_fetched += bytes;
+  stats->simulated_micros += micros;
+  stats->queue_wait_us += chunk_batch.queue_wait_us + map_batch.queue_wait_us;
+  stats->service_us += chunk_batch.service_us + map_batch.service_us;
+  stats->retry_penalty_us +=
+      chunk_batch.retry_penalty_us + map_batch.retry_penalty_us;
+  stats->hedge_delta_us += chunk_batch.hedge_delta_us + map_batch.hedge_delta_us;
+  if (cache_ != nullptr) {
+    stats->cache_hits += ids.size() - plan.miss.size();
+    stats->cache_misses += plan.miss.size();
   }
+  stats->missing_chunks += n_missing;
   const QueryMetrics& metrics = QueryMetrics::Get();
   metrics.chunks_fetched_total->Increment(ids.size());
   metrics.bytes_fetched_total->Increment(bytes);
@@ -225,55 +275,20 @@ uint64_t QueryProcessor::AccountFetch(const std::vector<ChunkId>& ids,
   return n_missing;
 }
 
-Result<std::vector<QueryProcessor::ChunkRef>> QueryProcessor::FetchChunks(
-    const std::vector<ChunkId>& ids, QueryStats* stats, TraceContext* trace,
-    QueryDegradation* degradation) {
-  ScopedSpan fetch_span(trace, "query.fetch_chunks");
-  fetch_span.Annotate("chunks", std::to_string(ids.size()));
-  FetchPlan plan = PrepareFetch(ids, trace);
-
-  KVStats before = kvs_->stats();
-  if (!plan.miss.empty()) {
-    std::map<std::string, std::string> chunk_values, map_values;
-    std::vector<KeyReadFailure> chunk_failures, map_failures;
-    if (degradation != nullptr) {
-      // Best-effort: keys on unavailable replicas land in the failure lists
-      // instead of failing the batch.
-      RSTORE_RETURN_IF_ERROR(
-          kvs_->MultiGetPartial(options_.chunk_table, plan.chunk_keys,
-                                &chunk_values, &chunk_failures, trace));
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGetPartial(options_.index_table,
-                                                   plan.map_keys, &map_values,
-                                                   &map_failures, trace));
-    } else {
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(
-          options_.chunk_table, plan.chunk_keys, &chunk_values, trace));
-      RSTORE_RETURN_IF_ERROR(kvs_->MultiGet(options_.index_table,
-                                            plan.map_keys, &map_values,
-                                            trace));
-    }
-    RSTORE_RETURN_IF_ERROR(DecodeAndInsert(ids, &plan, chunk_values,
-                                           map_values, chunk_failures,
-                                           map_failures, trace, degradation));
+Future<AsyncMultiGetResult> QueryProcessor::ReadBatch(
+    Executor* executor, const std::string& table,
+    const std::vector<std::string>& keys, bool partial, TraceContext* trace) {
+  if (executor == nullptr) {
+    return kvs_->KVStore::MultiGetAsync(nullptr, table, keys, partial, trace);
   }
-  KVStats after = kvs_->stats();
-  uint64_t n_missing = AccountFetch(
-      ids, plan, after.bytes_read - before.bytes_read,
-      after.simulated_micros - before.simulated_micros,
-      after.queue_wait_us - before.queue_wait_us,
-      after.service_us - before.service_us,
-      after.retry_penalty_us - before.retry_penalty_us,
-      after.hedge_delta_us - before.hedge_delta_us, stats);
-  if (n_missing > 0) {
-    fetch_span.Annotate("missing", std::to_string(n_missing));
-  }
-  return std::move(plan.chunks);
+  return kvs_->MultiGetAsync(executor, table, keys, partial, trace);
 }
 
-Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
+void QueryProcessor::FetchChunksAsync(
     Executor* executor, std::vector<ChunkId> ids, TraceContext* trace,
-    bool best_effort) {
+    bool best_effort, std::function<void(AsyncFetchOutcome)> done) {
   auto state = std::make_shared<AsyncFetchState>();
+  state->done = std::move(done);
   state->executor = executor;
   state->ids = std::move(ids);
   state->trace = trace;
@@ -285,59 +300,48 @@ Future<QueryProcessor::AsyncFetchOutcome> QueryProcessor::FetchChunksAsync(
   }
   state->plan = PrepareFetch(state->ids, trace);
   if (state->plan.miss.empty()) {
-    // Fully served from cache: nothing reaches the backend, the fetch
-    // completes at the current virtual instant with zero charge (exactly
-    // the sync path's zero stats delta).
+    // Fully served from cache: nothing reaches the backend, and the fetch
+    // completes at the current virtual instant with zero charge.
+    state->chunk_batch = MakeReadyFuture(AsyncMultiGetResult{});
     FinishFetchAsync(state, AsyncMultiGetResult{});
-    return state->promise.future();
+    return;
   }
   // Body batch first, map batch chained at its simulated completion
-  // instant — the sync path's sequencing, reproduced on the virtual clock
-  // (and required to keep this trace's spans LIFO).
-  kvs_->MultiGetAsync(executor, options_.chunk_table, state->plan.chunk_keys,
-                      best_effort, trace)
-      .OnReady([this, state](const AsyncMultiGetResult& chunk_result) {
-        if (!chunk_result.status.ok()) {
-          AbortFetchAsync(state, chunk_result.status);
+  // instant (which keeps this trace's spans LIFO).
+  state->chunk_batch = ReadBatch(executor, options_.chunk_table,
+                                 state->plan.chunk_keys, best_effort, trace);
+  state->chunk_batch.OnReady(
+      [this, state](const AsyncMultiGetResult& chunk_batch) {
+        if (!chunk_batch.status.ok()) {
+          AbortFetchAsync(state, chunk_batch.status);
           return;
         }
-        state->chunk_result = chunk_result;
-        kvs_->MultiGetAsync(state->executor, options_.index_table,
-                            state->plan.map_keys, state->best_effort,
-                            state->trace)
-            .OnReady([this, state](const AsyncMultiGetResult& map_result) {
-              if (!map_result.status.ok()) {
-                AbortFetchAsync(state, map_result.status);
+        ReadBatch(state->executor, options_.index_table, state->plan.map_keys,
+                  state->best_effort, state->trace)
+            .OnReady([this, state](const AsyncMultiGetResult& map_batch) {
+              if (!map_batch.status.ok()) {
+                AbortFetchAsync(state, map_batch.status);
                 return;
               }
-              FinishFetchAsync(state, map_result);
+              FinishFetchAsync(state, map_batch);
             });
       });
-  return state->promise.future();
 }
 
 void QueryProcessor::FinishFetchAsync(const FetchStatePtr& state,
-                                      const AsyncMultiGetResult& map_result) {
+                                      const AsyncMultiGetResult& map_batch) {
+  const AsyncMultiGetResult& chunk_batch = state->chunk_batch.value();
   if (!state->plan.miss.empty()) {
     Status s = DecodeAndInsert(
-        state->ids, &state->plan, state->chunk_result.values,
-        map_result.values, state->chunk_result.failures, map_result.failures,
-        state->trace, state->best_effort ? &state->out.degradation : nullptr);
+        state->ids, &state->plan, chunk_batch, map_batch, state->trace,
+        state->best_effort ? &state->out.degradation : nullptr);
     if (!s.ok()) {
       AbortFetchAsync(state, s);
       return;
     }
   }
-  const uint64_t bytes = state->chunk_result.bytes_read + map_result.bytes_read;
-  const uint64_t micros =
-      state->chunk_result.charged_micros + map_result.charged_micros;
-  uint64_t n_missing = AccountFetch(
-      state->ids, state->plan, bytes, micros,
-      state->chunk_result.queue_wait_us + map_result.queue_wait_us,
-      state->chunk_result.service_us + map_result.service_us,
-      state->chunk_result.retry_penalty_us + map_result.retry_penalty_us,
-      state->chunk_result.hedge_delta_us + map_result.hedge_delta_us,
-      &state->out.stats);
+  const uint64_t n_missing = AccountFetch(state->ids, state->plan, chunk_batch,
+                                          map_batch, &state->out.stats);
   if (state->trace != nullptr) {
     if (n_missing > 0) {
       state->trace->Annotate(state->fetch_span, "missing",
@@ -346,14 +350,14 @@ void QueryProcessor::FinishFetchAsync(const FetchStatePtr& state,
     state->trace->EndSpan(state->fetch_span);
   }
   state->out.chunks = std::move(state->plan.chunks);
-  state->promise.Set(std::move(state->out));
+  state->done(std::move(state->out));
 }
 
 void QueryProcessor::AbortFetchAsync(const FetchStatePtr& state,
                                      const Status& error) {
   if (state->trace != nullptr) state->trace->EndSpan(state->fetch_span);
   state->out.status = error;
-  state->promise.Set(std::move(state->out));
+  state->done(std::move(state->out));
 }
 
 Result<std::vector<Record>> QueryProcessor::ExtractVersionRecords(
@@ -422,27 +426,8 @@ Result<std::vector<Record>> QueryProcessor::ReplayDeltaChain(
   // earlier records), then membership — replayed on the application server
   // from the in-memory deltas — selects the live ones. This whole-chain
   // decompression is precisely the DELTA baseline's cost profile.
-  std::unordered_map<CompositeKey, std::string, CompositeKeyHash> replayed;
-  SubChunk::PayloadResolver resolver =
-      [&replayed](const CompositeKey& ck) -> Result<std::string> {
-    auto it = replayed.find(ck);
-    if (it == replayed.end()) {
-      return Status::Corruption("delta base record " + ck.ToString() +
-                                " not yet replayed");
-    }
-    return it->second;
-  };
-  for (const ChunkRef& chunk_ref : chunks) {
-    const Chunk& chunk = *chunk_ref;
-    // Chunk ids ascend with origin version, so bases precede dependents.
-    std::vector<uint32_t> all(chunk.record_count());
-    for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-    auto extracted = chunk.ExtractRecords(all, resolver);
-    if (!extracted.ok()) return extracted.status();
-    for (auto& [ck, payload] : extracted.value()) {
-      replayed[ck] = std::move(payload);
-    }
-  }
+  ReplayedChain replayed;
+  RSTORE_RETURN_IF_ERROR(ReplayChain(chunks, &replayed));
   VersionMembership members = dataset_->MaterializeVersion(version);
   std::vector<Record> out;
   for (const CompositeKey& ck : members) {
@@ -452,95 +437,12 @@ Result<std::vector<Record>> QueryProcessor::ReplayDeltaChain(
       return Status::Corruption("record " + ck.ToString() +
                                 " missing from replayed chain");
     }
-    out.push_back(Record{ck, it->second});
+    out.push_back(Record{ck, std::move(it->second)});
   }
   std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
     return a.key < b.key;
   });
   return out;
-}
-
-Result<std::vector<Record>> QueryProcessor::GetVersionDeltaChain(
-    VersionId version, bool use_range, const std::string& key_lo,
-    const std::string& key_hi, QueryStats* stats, TraceContext* trace) {
-  auto chunks = FetchChunks(DeltaChainIds(version), stats, trace);
-  if (!chunks.ok()) return chunks.status();
-  return ReplayDeltaChain(chunks.value(), version, use_range, key_lo, key_hi);
-}
-
-Result<std::vector<Record>> QueryProcessor::GetVersion(
-    VersionId version, QueryStats* stats, TraceContext* trace,
-    QueryDegradation* degradation) {
-  if (version >= dataset_->graph.size()) {
-    return Status::InvalidArgument("unknown version");
-  }
-  ScopedSpan span(trace, "query.get_version");
-  span.Annotate("version", std::to_string(version));
-  QueryMetrics::Get().queries_total->Increment();
-  // Best-effort only when the options ask for it; the caller's report
-  // object is optional (the missing_chunks stat still counts casualties).
-  QueryDegradation local_degradation;
-  QueryDegradation* effective =
-      options_.read_mode == ReadMode::kBestEffort
-          ? (degradation != nullptr ? degradation : &local_degradation)
-          : nullptr;
-  switch (layout_) {
-    case LayoutKind::kChunked: {
-      auto chunks = FetchChunks(catalog_->ChunksOfVersion(version), stats,
-                                trace, effective);
-      if (!chunks.ok()) return chunks.status();
-      return ExtractVersionRecords(chunks.value(), version,
-                                   /*use_range=*/false, "", "");
-    }
-    case LayoutKind::kDeltaChain:
-      // A delta chain with a hole cannot be replayed: this layout is always
-      // strict (documented in DESIGN.md "Fault tolerance").
-      return GetVersionDeltaChain(version, /*use_range=*/false, "", "",
-                                  stats, trace);
-    case LayoutKind::kSubChunkPerKey: {
-      // No version->chunk index: every chunk must be retrieved (paper §2.2).
-      auto chunks = FetchChunks(catalog_->AllChunks(), stats, trace,
-                                effective);
-      if (!chunks.ok()) return chunks.status();
-      return ExtractVersionRecords(chunks.value(), version,
-                                   /*use_range=*/false, "", "");
-    }
-  }
-  return Status::InvalidArgument("bad layout");
-}
-
-Result<std::vector<Record>> QueryProcessor::GetRange(
-    VersionId version, const std::string& key_lo, const std::string& key_hi,
-    QueryStats* stats, TraceContext* trace, QueryDegradation* degradation) {
-  if (version >= dataset_->graph.size()) {
-    return Status::InvalidArgument("unknown version");
-  }
-  if (key_lo > key_hi) {
-    return Status::InvalidArgument("empty key range");
-  }
-  ScopedSpan span(trace, "query.get_range");
-  span.Annotate("version", std::to_string(version));
-  QueryMetrics::Get().queries_total->Increment();
-  QueryDegradation local_degradation;
-  QueryDegradation* effective =
-      options_.read_mode == ReadMode::kBestEffort
-          ? (degradation != nullptr ? degradation : &local_degradation)
-          : nullptr;
-  switch (layout_) {
-    case LayoutKind::kChunked:
-    case LayoutKind::kSubChunkPerKey: {
-      auto chunks = FetchChunks(RangeChunkIds(version, key_lo, key_hi), stats,
-                                trace, effective);
-      if (!chunks.ok()) return chunks.status();
-      return ExtractVersionRecords(chunks.value(), version,
-                                   /*use_range=*/true, key_lo, key_hi);
-    }
-    case LayoutKind::kDeltaChain:
-      // Always strict: a delta chain with a hole cannot be replayed.
-      return GetVersionDeltaChain(version, /*use_range=*/true, key_lo,
-                                  key_hi, stats, trace);
-  }
-  return Status::InvalidArgument("bad layout");
 }
 
 std::vector<ChunkId> QueryProcessor::RangeChunkIds(
@@ -574,56 +476,14 @@ std::vector<ChunkId> QueryProcessor::RangeChunkIds(
   return ids;
 }
 
-Result<std::vector<Record>> QueryProcessor::GetHistory(const std::string& key,
-                                                       QueryStats* stats,
-                                                       TraceContext* trace) {
-  ScopedSpan span(trace, "query.get_history");
-  span.Annotate("key", key);
-  QueryMetrics::Get().queries_total->Increment();
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked:
-    case LayoutKind::kSubChunkPerKey:
-      ids = catalog_->ChunksOfKey(key);
-      break;
-    case LayoutKind::kDeltaChain:
-      // "For DELTA, we need to reconstruct all the versions and then filter
-      // out the required records which renders execution of Q3 impractical"
-      // (§5.4): every chunk must come back.
-      ids = catalog_->AllChunks();
-      break;
-  }
-  auto chunks = FetchChunks(ids, stats, trace);
-  if (!chunks.ok()) return chunks.status();
-  return HistoryFromChunks(chunks.value(), key);
-}
-
 Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
     const std::vector<ChunkRef>& chunks, const std::string& key) const {
   std::vector<Record> out;
   if (layout_ == LayoutKind::kDeltaChain) {
     // Everything was fetched; replay it all (record-level deltas may chain
     // across versions) and filter by key.
-    std::unordered_map<CompositeKey, std::string, CompositeKeyHash> replayed;
-    SubChunk::PayloadResolver resolver =
-        [&replayed](const CompositeKey& ck) -> Result<std::string> {
-      auto it = replayed.find(ck);
-      if (it == replayed.end()) {
-        return Status::Corruption("delta base record " + ck.ToString() +
-                                  " not yet replayed");
-      }
-      return it->second;
-    };
-    for (const ChunkRef& chunk_ref : chunks) {
-      const Chunk& chunk = *chunk_ref;
-      std::vector<uint32_t> all(chunk.record_count());
-      for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
-      auto extracted = chunk.ExtractRecords(all, resolver);
-      if (!extracted.ok()) return extracted.status();
-      for (auto& [ck, payload] : extracted.value()) {
-        replayed[ck] = std::move(payload);
-      }
-    }
+    ReplayedChain replayed;
+    RSTORE_RETURN_IF_ERROR(ReplayChain(chunks, &replayed));
     for (auto& [ck, payload] : replayed) {
       if (ck.key == key) out.push_back(Record{ck, std::move(payload)});
     }
@@ -648,47 +508,6 @@ Result<std::vector<Record>> QueryProcessor::HistoryFromChunks(
   return out;
 }
 
-Result<Record> QueryProcessor::GetRecord(const std::string& key,
-                                         VersionId version,
-                                         QueryStats* stats,
-                                         TraceContext* trace) {
-  if (version >= dataset_->graph.size()) {
-    return Status::InvalidArgument("unknown version");
-  }
-  ScopedSpan span(trace, "query.get_record");
-  span.Annotate("key", key);
-  span.Annotate("version", std::to_string(version));
-  QueryMetrics::Get().queries_total->Increment();
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked: {
-      // Index-ANDing of the two projections (paper §2.4).
-      std::vector<ChunkId> by_version = catalog_->ChunksOfVersion(version);
-      std::vector<ChunkId> by_key = catalog_->ChunksOfKey(key);
-      std::set_intersection(by_version.begin(), by_version.end(),
-                            by_key.begin(), by_key.end(),
-                            std::back_inserter(ids));
-      break;
-    }
-    case LayoutKind::kDeltaChain: {
-      auto records = GetVersionDeltaChain(version, /*use_range=*/true, key,
-                                          key, stats, trace);
-      if (!records.ok()) return records.status();
-      if (records->empty()) {
-        return Status::NotFound("no record " + key + " in version " +
-                                std::to_string(version));
-      }
-      return std::move(records->front());
-    }
-    case LayoutKind::kSubChunkPerKey:
-      ids = catalog_->ChunksOfKey(key);
-      break;
-  }
-  auto chunks = FetchChunks(ids, stats, trace);
-  if (!chunks.ok()) return chunks.status();
-  return RecordFromChunks(chunks.value(), key, version);
-}
-
 Result<Record> QueryProcessor::RecordFromChunks(
     const std::vector<ChunkRef>& chunks, const std::string& key,
     VersionId version) const {
@@ -707,117 +526,75 @@ Result<Record> QueryProcessor::RecordFromChunks(
                           std::to_string(version));
 }
 
-// -- Asynchronous twins. Each runs the sync method's prologue inline
-//    (validation, span, planning), submits the fetch, and runs the sync
-//    epilogue in the continuation at the query's simulated completion
-//    instant — so results are byte-identical to the sync path by
-//    construction, and only the fetch's scheduling differs.
+// -- The query bodies. Each validates and plans inline (span, chunk ids),
+//    submits the fetch, and turns the fetched chunks into its result in the
+//    continuation — at the query's simulated completion instant on an
+//    executor, or before returning when run on blocking backend reads.
 
 Future<AsyncQueryResult> QueryProcessor::GetVersionAsync(Executor* executor,
                                                          VersionId version,
                                                          TraceContext* trace) {
-  if (version >= dataset_->graph.size()) {
-    AsyncQueryResult result;
-    result.status = Status::InvalidArgument("unknown version");
-    return MakeReadyFuture(std::move(result));
-  }
-  const uint32_t span = trace != nullptr ? trace->StartSpan("query.get_version")
-                                         : TraceSpan::kNoParent;
-  if (trace != nullptr) {
-    trace->Annotate(span, "version", std::to_string(version));
-  }
-  QueryMetrics::Get().queries_total->Increment();
-  // A delta chain with a hole cannot be replayed: always strict.
-  const bool best_effort = options_.read_mode == ReadMode::kBestEffort &&
-                           layout_ != LayoutKind::kDeltaChain;
-  std::vector<ChunkId> ids;
-  switch (layout_) {
-    case LayoutKind::kChunked:
-      ids = catalog_->ChunksOfVersion(version);
-      break;
-    case LayoutKind::kDeltaChain:
-      ids = DeltaChainIds(version);
-      break;
-    case LayoutKind::kSubChunkPerKey:
-      // No version->chunk index: every chunk must be retrieved (paper §2.2).
-      ids = catalog_->AllChunks();
-      break;
-  }
-  Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, best_effort)
-      .OnReady([this, promise, version, trace,
-                span](const AsyncFetchOutcome& fetch) {
-        AsyncQueryResult result;
-        result.stats = fetch.stats;
-        result.degradation = fetch.degradation;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else {
-          auto records =
-              layout_ == LayoutKind::kDeltaChain
-                  ? ReplayDeltaChain(fetch.chunks, version,
-                                     /*use_range=*/false, "", "")
-                  : ExtractVersionRecords(fetch.chunks, version,
-                                          /*use_range=*/false, "", "");
-          if (records.ok()) {
-            result.records = std::move(records.value());
-          } else {
-            result.status = records.status();
-          }
-        }
-        if (trace != nullptr) trace->EndSpan(span);
-        promise.Set(std::move(result));
-      });
-  return promise.future();
+  return VersionQuery(executor, version, /*use_range=*/false, "", "", trace);
 }
 
 Future<AsyncQueryResult> QueryProcessor::GetRangeAsync(
     Executor* executor, VersionId version, const std::string& key_lo,
     const std::string& key_hi, TraceContext* trace) {
+  return VersionQuery(executor, version, /*use_range=*/true, key_lo, key_hi,
+                      trace);
+}
+
+Future<AsyncQueryResult> QueryProcessor::VersionQuery(
+    Executor* executor, VersionId version, bool use_range,
+    const std::string& key_lo, const std::string& key_hi,
+    TraceContext* trace) {
   if (version >= dataset_->graph.size()) {
-    AsyncQueryResult result;
-    result.status = Status::InvalidArgument("unknown version");
-    return MakeReadyFuture(std::move(result));
+    return QueryError<AsyncQueryResult>(
+        Status::InvalidArgument("unknown version"));
   }
-  if (key_lo > key_hi) {
-    AsyncQueryResult result;
-    result.status = Status::InvalidArgument("empty key range");
-    return MakeReadyFuture(std::move(result));
+  if (use_range && key_lo > key_hi) {
+    return QueryError<AsyncQueryResult>(
+        Status::InvalidArgument("empty key range"));
   }
-  const uint32_t span = trace != nullptr ? trace->StartSpan("query.get_range")
-                                         : TraceSpan::kNoParent;
+  const uint32_t span =
+      StartQuery(trace, use_range ? "query.get_range" : "query.get_version");
   if (trace != nullptr) {
     trace->Annotate(span, "version", std::to_string(version));
   }
-  QueryMetrics::Get().queries_total->Increment();
+  // A delta chain with a hole cannot be replayed: that layout is always
+  // strict (DESIGN.md "Fault tolerance").
   const bool best_effort = options_.read_mode == ReadMode::kBestEffort &&
                            layout_ != LayoutKind::kDeltaChain;
-  std::vector<ChunkId> ids = layout_ == LayoutKind::kDeltaChain
-                                 ? DeltaChainIds(version)
-                                 : RangeChunkIds(version, key_lo, key_hi);
+  std::vector<ChunkId> ids;
+  if (layout_ == LayoutKind::kDeltaChain) {
+    ids = DeltaChainIds(version);
+  } else if (use_range) {
+    ids = RangeChunkIds(version, key_lo, key_hi);
+  } else if (layout_ == LayoutKind::kChunked) {
+    ids = catalog_->ChunksOfVersion(version);
+  } else {
+    // No version->chunk index: every chunk must be retrieved (paper §2.2).
+    ids = catalog_->AllChunks();
+  }
   Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, best_effort)
-      .OnReady([this, promise, version, key_lo, key_hi, trace,
-                span](const AsyncFetchOutcome& fetch) {
+  FetchChunksAsync(
+      executor, std::move(ids), trace, best_effort,
+      [this, promise, version, use_range, key_lo, key_hi, trace,
+       span](AsyncFetchOutcome fetch) {
         AsyncQueryResult result;
         result.stats = fetch.stats;
-        result.degradation = fetch.degradation;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else {
-          auto records =
+        result.degradation = std::move(fetch.degradation);
+        result.status = fetch.status;
+        if (result.status.ok()) {
+          result.status = MoveInto(
               layout_ == LayoutKind::kDeltaChain
-                  ? ReplayDeltaChain(fetch.chunks, version, /*use_range=*/true,
-                                     key_lo, key_hi)
-                  : ExtractVersionRecords(fetch.chunks, version,
-                                          /*use_range=*/true, key_lo, key_hi);
-          if (records.ok()) {
-            result.records = std::move(records.value());
-          } else {
-            result.status = records.status();
-          }
+                  ? ReplayDeltaChain(fetch.chunks, version, use_range, key_lo,
+                                     key_hi)
+                  : ExtractVersionRecords(fetch.chunks, version, use_range,
+                                          key_lo, key_hi),
+              &result.records);
         }
-        if (trace != nullptr) trace->EndSpan(span);
+        EndQuery(trace, span, &fetch);
         promise.Set(std::move(result));
       });
   return promise.future();
@@ -826,31 +603,26 @@ Future<AsyncQueryResult> QueryProcessor::GetRangeAsync(
 Future<AsyncQueryResult> QueryProcessor::GetHistoryAsync(Executor* executor,
                                                          const std::string& key,
                                                          TraceContext* trace) {
-  const uint32_t span = trace != nullptr
-                            ? trace->StartSpan("query.get_history")
-                            : TraceSpan::kNoParent;
+  const uint32_t span = StartQuery(trace, "query.get_history");
   if (trace != nullptr) trace->Annotate(span, "key", key);
-  QueryMetrics::Get().queries_total->Increment();
+  // "For DELTA, we need to reconstruct all the versions and then filter out
+  // the required records which renders execution of Q3 impractical" (§5.4):
+  // every chunk must come back.
   std::vector<ChunkId> ids = layout_ == LayoutKind::kDeltaChain
                                  ? catalog_->AllChunks()
                                  : catalog_->ChunksOfKey(key);
   Promise<AsyncQueryResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, /*best_effort=*/false)
-      .OnReady([this, promise, key, trace,
-                span](const AsyncFetchOutcome& fetch) {
+  FetchChunksAsync(
+      executor, std::move(ids), trace, /*best_effort=*/false,
+      [this, promise, key, trace, span](AsyncFetchOutcome fetch) {
         AsyncQueryResult result;
         result.stats = fetch.stats;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else {
-          auto records = HistoryFromChunks(fetch.chunks, key);
-          if (records.ok()) {
-            result.records = std::move(records.value());
-          } else {
-            result.status = records.status();
-          }
+        result.status = fetch.status;
+        if (result.status.ok()) {
+          result.status =
+              MoveInto(HistoryFromChunks(fetch.chunks, key), &result.records);
         }
-        if (trace != nullptr) trace->EndSpan(span);
+        EndQuery(trace, span, &fetch);
         promise.Set(std::move(result));
       });
   return promise.future();
@@ -860,17 +632,14 @@ Future<AsyncRecordResult> QueryProcessor::GetRecordAsync(
     Executor* executor, const std::string& key, VersionId version,
     TraceContext* trace) {
   if (version >= dataset_->graph.size()) {
-    AsyncRecordResult result;
-    result.status = Status::InvalidArgument("unknown version");
-    return MakeReadyFuture(std::move(result));
+    return QueryError<AsyncRecordResult>(
+        Status::InvalidArgument("unknown version"));
   }
-  const uint32_t span = trace != nullptr ? trace->StartSpan("query.get_record")
-                                         : TraceSpan::kNoParent;
+  const uint32_t span = StartQuery(trace, "query.get_record");
   if (trace != nullptr) {
     trace->Annotate(span, "key", key);
     trace->Annotate(span, "version", std::to_string(version));
   }
-  QueryMetrics::Get().queries_total->Increment();
   std::vector<ChunkId> ids;
   switch (layout_) {
     case LayoutKind::kChunked: {
@@ -890,14 +659,13 @@ Future<AsyncRecordResult> QueryProcessor::GetRecordAsync(
       break;
   }
   Promise<AsyncRecordResult> promise;
-  FetchChunksAsync(executor, std::move(ids), trace, /*best_effort=*/false)
-      .OnReady([this, promise, key, version, trace,
-                span](const AsyncFetchOutcome& fetch) {
+  FetchChunksAsync(
+      executor, std::move(ids), trace, /*best_effort=*/false,
+      [this, promise, key, version, trace, span](AsyncFetchOutcome fetch) {
         AsyncRecordResult result;
         result.stats = fetch.stats;
-        if (!fetch.status.ok()) {
-          result.status = fetch.status;
-        } else if (layout_ == LayoutKind::kDeltaChain) {
+        result.status = fetch.status;
+        if (result.status.ok() && layout_ == LayoutKind::kDeltaChain) {
           auto records = ReplayDeltaChain(fetch.chunks, version,
                                           /*use_range=*/true, key, key);
           if (!records.ok()) {
@@ -909,18 +677,71 @@ Future<AsyncRecordResult> QueryProcessor::GetRecordAsync(
           } else {
             result.record = std::move(records->front());
           }
-        } else {
-          auto record = RecordFromChunks(fetch.chunks, key, version);
-          if (record.ok()) {
-            result.record = std::move(record.value());
-          } else {
-            result.status = record.status();
-          }
+        } else if (result.status.ok()) {
+          result.status = MoveInto(RecordFromChunks(fetch.chunks, key, version),
+                                   &result.record);
         }
-        if (trace != nullptr) trace->EndSpan(span);
+        EndQuery(trace, span, &fetch);
         promise.Set(std::move(result));
       });
   return promise.future();
+}
+
+// -- The blocking query methods: the bodies above with a null executor.
+
+Result<std::vector<Record>> QueryProcessor::GetVersion(
+    VersionId version, QueryStats* stats, TraceContext* trace,
+    QueryDegradation* degradation) {
+  return TakeQueryResult(GetVersionAsync(nullptr, version, trace), stats,
+                         degradation);
+}
+
+Result<std::vector<Record>> QueryProcessor::GetRange(
+    VersionId version, const std::string& key_lo, const std::string& key_hi,
+    QueryStats* stats, TraceContext* trace, QueryDegradation* degradation) {
+  return TakeQueryResult(
+      GetRangeAsync(nullptr, version, key_lo, key_hi, trace), stats,
+      degradation);
+}
+
+Result<std::vector<Record>> QueryProcessor::GetHistory(const std::string& key,
+                                                       QueryStats* stats,
+                                                       TraceContext* trace) {
+  return TakeQueryResult(GetHistoryAsync(nullptr, key, trace), stats);
+}
+
+Result<Record> QueryProcessor::GetRecord(const std::string& key,
+                                         VersionId version,
+                                         QueryStats* stats,
+                                         TraceContext* trace) {
+  return TakeQueryResult(GetRecordAsync(nullptr, key, version, trace), stats);
+}
+
+Result<std::vector<Record>> TakeQueryResult(Future<AsyncQueryResult> future,
+                                            QueryStats* stats,
+                                            QueryDegradation* degradation) {
+  AsyncQueryResult result = future.Take();
+  if (stats != nullptr) *stats += result.stats;
+  if (degradation != nullptr) {
+    QueryDegradation& report = result.degradation;
+    degradation->missing_chunks.insert(degradation->missing_chunks.end(),
+                                       report.missing_chunks.begin(),
+                                       report.missing_chunks.end());
+    degradation->messages.insert(
+        degradation->messages.end(),
+        std::make_move_iterator(report.messages.begin()),
+        std::make_move_iterator(report.messages.end()));
+  }
+  if (!result.status.ok()) return result.status;
+  return std::move(result.records);
+}
+
+Result<Record> TakeQueryResult(Future<AsyncRecordResult> future,
+                               QueryStats* stats) {
+  AsyncRecordResult result = future.Take();
+  if (stats != nullptr) *stats += result.stats;
+  if (!result.status.ok()) return result.status;
+  return std::move(result.record);
 }
 
 }  // namespace rstore

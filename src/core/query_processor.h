@@ -1,6 +1,7 @@
 #ifndef RSTORE_CORE_QUERY_PROCESSOR_H_
 #define RSTORE_CORE_QUERY_PROCESSOR_H_
 
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -102,8 +103,7 @@ struct QueryDegradation {
 /// Completion payload of an asynchronous record-set query (GetVersionAsync /
 /// GetRangeAsync / GetHistoryAsync). The per-query cost accounting rides in
 /// the result — differencing a shared QueryStats is meaningless while many
-/// queries are in flight — and `records` is byte-identical to what the
-/// synchronous twin would have returned.
+/// queries are in flight.
 struct AsyncQueryResult {
   Status status = Status::OK();
   std::vector<Record> records;
@@ -118,6 +118,25 @@ struct AsyncRecordResult {
   Record record;
   QueryStats stats;
 };
+
+/// A completed query future carrying `error`.
+template <typename R>
+Future<R> QueryError(Status error) {
+  R result;
+  result.status = std::move(error);
+  return MakeReadyFuture(std::move(result));
+}
+
+/// Blocking adapters: move the result out of a completed query future
+/// (one run with a null executor is complete on return), add its stats to
+/// `*stats` and append its degradation report to `*degradation` (either
+/// may be null).
+Result<std::vector<Record>> TakeQueryResult(Future<AsyncQueryResult> future,
+                                            QueryStats* stats,
+                                            QueryDegradation* degradation =
+                                                nullptr);
+Result<Record> TakeQueryResult(Future<AsyncRecordResult> future,
+                               QueryStats* stats);
 
 /// Executes the four retrieval query classes of paper §2.1 against the
 /// chunked store (paper §2.4, "Indexes and Query Processing Module").
@@ -150,8 +169,10 @@ class QueryProcessor {
 
   /// Q1 — full version retrieval: every record of `version`.
   ///
-  /// All four query methods accept an optional TraceContext: when non-null,
-  /// the query records a span tree ("query.*" around the whole query,
+  /// The four blocking query methods run the query bodies below (the
+  /// *Async methods) with a null executor and take their results.
+  /// All four accept an optional TraceContext: when non-null, the query
+  /// records a span tree ("query.*" around the whole query,
   /// "query.fetch_chunks" / "cache.lookup" / "query.decode" around the read
   /// path, plus the backend's own "kvs.multiget" spans) stamped with both
   /// wall-clock and simulated time.
@@ -187,15 +208,14 @@ class QueryProcessor {
                            QueryStats* stats = nullptr,
                            TraceContext* trace = nullptr);
 
-  // -- Asynchronous twins: continuation-style execution on a deterministic
+  // -- The query bodies: continuation-style execution on a deterministic
   //    virtual-time Executor, so many queries pipeline through one
   //    coordinator (the backend's per-node queues are the shared resource).
   //    Each method validates and plans inline, submits its chunk fetches,
   //    and completes the returned future at the query's simulated completion
-  //    instant with results byte-identical to the synchronous twin. A
-  //    sequentially-drained executor (RunUntilIdle after each submission)
-  //    replays the synchronous timeline exactly — same backend ticks, same
-  //    charges, same counters.
+  //    instant. A null `executor` sends both backend batches through the
+  //    store's blocking MultiGet/MultiGetPartial instead: the continuations
+  //    run inline and the future is complete on return.
   //
   //    `trace`, when non-null, must be a context used by this query chain
   //    only (one TraceContext per in-flight query) and stays open until the
@@ -221,9 +241,8 @@ class QueryProcessor {
   /// cache (and other readers), uncached ones are exclusively owned.
   using ChunkRef = std::shared_ptr<const Chunk>;
 
-  /// Work-in-progress state of one chunk fetch, shared between the
-  /// synchronous and asynchronous paths: the cache pass's outcome plus the
-  /// backend keys still to be fetched.
+  /// Work-in-progress state of one chunk fetch: the cache pass's outcome
+  /// plus the backend keys still to be fetched.
   struct FetchPlan {
     /// Resolved chunks, index-aligned with the requested ids; entries not
     /// served by the cache are filled in by DecodeAndInsert.
@@ -244,35 +263,21 @@ class QueryProcessor {
   /// leave null refs and a report entry (best-effort); otherwise any
   /// unserved chunk is an error.
   Status DecodeAndInsert(const std::vector<ChunkId>& ids, FetchPlan* plan,
-                         const std::map<std::string, std::string>& chunk_values,
-                         const std::map<std::string, std::string>& map_values,
-                         const std::vector<KeyReadFailure>& chunk_failures,
-                         const std::vector<KeyReadFailure>& map_failures,
+                         const AsyncMultiGetResult& chunk_batch,
+                         const AsyncMultiGetResult& map_batch,
                          TraceContext* trace, QueryDegradation* degradation);
 
-  /// Stats/metrics epilogue shared by both fetch paths (`bytes`/`micros`
-  /// are what this fetch's backend traffic cost; `queue_us`/`service_us`/
-  /// `retry_us`/`hedge_us` its attribution, summing to `micros`). Returns
-  /// the number of null refs (best-effort casualties) for span annotation.
+  /// Stats/metrics epilogue of a fetch: `chunk_batch` + `map_batch` are
+  /// what its backend traffic cost (bytes, micros and their attribution).
+  /// Returns the number of null refs (best-effort casualties) for span
+  /// annotation.
   uint64_t AccountFetch(const std::vector<ChunkId>& ids, const FetchPlan& plan,
-                        uint64_t bytes, uint64_t micros, uint64_t queue_us,
-                        uint64_t service_us, uint64_t retry_us,
-                        uint64_t hedge_us, QueryStats* stats);
+                        const AsyncMultiGetResult& chunk_batch,
+                        const AsyncMultiGetResult& map_batch,
+                        QueryStats* stats);
 
-  /// Fetches and decodes chunks (bodies + their maps) by id, consulting the
-  /// cache first when attached, accounting stats. With `degradation`
-  /// non-null the fetch is best-effort: chunks the backend reports
-  /// unavailable come back as null ChunkRefs (recorded in the report)
-  /// rather than failing the call; with it null, any unserved chunk is an
-  /// error (strict).
-  Result<std::vector<ChunkRef>> FetchChunks(const std::vector<ChunkId>& ids,
-                                            QueryStats* stats,
-                                            TraceContext* trace,
-                                            QueryDegradation* degradation =
-                                                nullptr);
-
-  /// Completion payload of FetchChunksAsync: the chunks plus this fetch's
-  /// own accounting and (best-effort mode) degradation report.
+  /// What FetchChunksAsync hands its continuation: the chunks plus this
+  /// fetch's own accounting and (best-effort mode) degradation report.
   struct AsyncFetchOutcome {
     Status status = Status::OK();
     std::vector<ChunkRef> chunks;
@@ -280,38 +285,60 @@ class QueryProcessor {
     QueryDegradation degradation;
   };
 
-  /// Continuation state of one in-flight asynchronous fetch. Heap-held so
-  /// the chunk-table continuation can hand off to the index-table one.
+  /// Continuation state of one in-flight fetch. Heap-held so the
+  /// chunk-table continuation can hand off to the index-table one.
   struct AsyncFetchState {
-    Executor* executor = nullptr;
+    Executor* executor = nullptr;  // null: blocking backend reads
     std::vector<ChunkId> ids;
     TraceContext* trace = nullptr;
     bool best_effort = false;
     uint32_t fetch_span = TraceSpan::kNoParent;
     FetchPlan plan;
-    AsyncMultiGetResult chunk_result;
+    /// The body batch, kept so the epilogue reads its values in place
+    /// instead of copying them. While the batch is pending, this handle and
+    /// the batch's continuation (which holds the state) keep each other
+    /// alive, so an executor must be drained, not destroyed, with fetches
+    /// still queued on it.
+    Future<AsyncMultiGetResult> chunk_batch;
     AsyncFetchOutcome out;
-    Promise<AsyncFetchOutcome> promise;
+    std::function<void(AsyncFetchOutcome)> done;
   };
   using FetchStatePtr = std::shared_ptr<AsyncFetchState>;
 
-  /// The asynchronous twin of FetchChunks: submits the body batch, chains
-  /// the map batch at its simulated completion instant (exactly the sync
-  /// path's sequencing, which also keeps trace spans LIFO), then decodes
-  /// and accounts in the final continuation. Strict failures complete the
-  /// future with the error and charge nothing further, like the sync early
-  /// return.
-  Future<AsyncFetchOutcome> FetchChunksAsync(Executor* executor,
-                                             std::vector<ChunkId> ids,
-                                             TraceContext* trace,
-                                             bool best_effort);
+  /// One backend batch: the store's MultiGetAsync on `executor`, or with a
+  /// null executor its blocking MultiGet/MultiGetPartial, completed inline
+  /// with exact stats deltas (KVStore's default MultiGetAsync).
+  Future<AsyncMultiGetResult> ReadBatch(Executor* executor,
+                                        const std::string& table,
+                                        const std::vector<std::string>& keys,
+                                        bool partial, TraceContext* trace);
 
-  /// Decode/account epilogue of an async fetch, run when the map batch
-  /// completes.
+  /// Fetches and decodes chunks (bodies + their maps) by id, consulting
+  /// the cache first when attached: submits the body batch, chains the map
+  /// batch at its simulated completion instant (which also keeps trace
+  /// spans LIFO), then decodes and accounts in the final continuation. With
+  /// `best_effort` set, chunks the backend reports unavailable come back as
+  /// null ChunkRefs (recorded in the degradation report); otherwise any
+  /// unserved chunk fails the fetch, which then charges nothing further.
+  /// `done` receives the outcome by value, so a query can free the decoded
+  /// chunks before its span closes.
+  void FetchChunksAsync(Executor* executor, std::vector<ChunkId> ids,
+                        TraceContext* trace, bool best_effort,
+                        std::function<void(AsyncFetchOutcome)> done);
+
+  /// Decode/account epilogue of a fetch, run when the map batch completes.
   void FinishFetchAsync(const FetchStatePtr& state,
-                        const AsyncMultiGetResult& map_result);
-  /// Completes an async fetch with `error`, closing its span (no charge).
+                        const AsyncMultiGetResult& map_batch);
+  /// Completes a fetch with `error`, closing its span (no charge).
   void AbortFetchAsync(const FetchStatePtr& state, const Status& error);
+
+  /// The body of Q1 and Q2: records of `version`, restricted to
+  /// [key_lo, key_hi] when `use_range` is set.
+  Future<AsyncQueryResult> VersionQuery(Executor* executor, VersionId version,
+                                        bool use_range,
+                                        const std::string& key_lo,
+                                        const std::string& key_hi,
+                                        TraceContext* trace);
 
   /// Extracts the records of `version` from fetched chunks via chunk maps,
   /// optionally restricted to [key_lo, key_hi]. Null chunk refs (best-effort
@@ -320,16 +347,9 @@ class QueryProcessor {
       const std::vector<ChunkRef>& chunks, VersionId version, bool use_range,
       const std::string& key_lo, const std::string& key_hi) const;
 
-  Result<std::vector<Record>> GetVersionDeltaChain(VersionId version,
-                                                   bool use_range,
-                                                   const std::string& key_lo,
-                                                   const std::string& key_hi,
-                                                   QueryStats* stats,
-                                                   TraceContext* trace);
-
-  // -- Layout-specific planning/epilogue helpers shared by the synchronous
-  //    and asynchronous paths. Planning (which chunk ids to fetch) runs
-  //    before the fetch; epilogues turn fetched chunks into records after.
+  // -- Layout-specific planning/epilogue helpers. Planning (which chunk ids
+  //    to fetch) runs before the fetch; epilogues turn fetched chunks into
+  //    records after.
 
   /// Every delta object on root->version, deduplicated (DELTA layout).
   std::vector<ChunkId> DeltaChainIds(VersionId version) const;

@@ -51,14 +51,13 @@ struct WriteMetrics {
   }
 };
 
-/// Flight-recorder + exemplar epilogue shared by every query wrapper: claims
-/// a query id, observes the per-query latency histogram with an attribution
-/// exemplar, and logs the full flight record. `before`/`after` are backend
-/// stats snapshots bracketing the query; the fault counters derived from
-/// them are exact on the synchronous path (one query at a time) and
-/// best-effort under async overlap, where concurrent queries share the
-/// backend's tallies. The attribution itself rides in `qs` and is exact in
-/// both engines.
+/// Flight-recorder + exemplar epilogue of every query: claims a query id,
+/// observes the per-query latency histogram with an attribution exemplar,
+/// and logs the full flight record. `before`/`after` are backend stats
+/// snapshots bracketing the query; the fault counters derived from them are
+/// exact for blocking queries (one at a time) and best-effort under async
+/// overlap, where concurrent queries share the backend's tallies. The
+/// attribution itself rides in `qs` and is exact either way.
 void RecordQueryFlight(const char* name, const QueryStats& qs,
                        const KVStats& before, const KVStats& after,
                        const QueryDegradation* degradation,
@@ -746,20 +745,49 @@ Status RStore::Flush(TraceContext* trace) {
   return backend_->Put(options_.index_table, "g", graph_blob);
 }
 
+namespace {
+
+const QueryDegradation* DegradationOf(const AsyncQueryResult& result) {
+  return &result.degradation;
+}
+const QueryDegradation* DegradationOf(const AsyncRecordResult&) {
+  return nullptr;
+}
+
+}  // namespace
+
+template <typename R, typename Submit>
+Future<R> RStore::RunQuery(const char* flight_name, TraceContext* trace,
+                           Submit submit) {
+  // Writes and reads never overlap (documented contract): a staged batch is
+  // flushed first, synchronously.
+  Status flushed = ProcessBatch(trace);
+  if (!flushed.ok()) return QueryError<R>(std::move(flushed));
+  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
+                                             layout_, options_, cache_.get(),
+                                             cache_owner_);
+  const KVStats before = backend_->stats();
+  Future<R> future = submit(qp.get());
+  // The continuation pins the processor until the query completes; `trace`
+  // and `this` outlive every query they serve (documented contract).
+  future.OnReady([this, qp, flight_name, before, trace](const R& result) {
+    RecordQueryFlight(flight_name, result.stats, before, backend_->stats(),
+                      DegradationOf(result), trace);
+  });
+  return future;
+}
+
 Result<std::vector<Record>> RStore::GetVersion(VersionId version,
                                                QueryStats* stats,
                                                TraceContext* trace,
                                                QueryDegradation* degradation) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetVersion(version, &local, trace, degradation);
-  RecordQueryFlight("get_version", local, before, backend_->stats(),
-                    degradation, trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return TakeQueryResult(
+      RunQuery<AsyncQueryResult>("get_version", trace,
+                                 [&](QueryProcessor* qp) {
+                                   return qp->GetVersionAsync(nullptr, version,
+                                                              trace);
+                                 }),
+      stats, degradation);
 }
 
 Result<std::vector<Record>> RStore::GetRange(VersionId version,
@@ -768,87 +796,46 @@ Result<std::vector<Record>> RStore::GetRange(VersionId version,
                                              QueryStats* stats,
                                              TraceContext* trace,
                                              QueryDegradation* degradation) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetRange(version, key_lo, key_hi, &local, trace,
-                            degradation);
-  RecordQueryFlight("get_range", local, before, backend_->stats(),
-                    degradation, trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return TakeQueryResult(
+      RunQuery<AsyncQueryResult>("get_range", trace,
+                                 [&](QueryProcessor* qp) {
+                                   return qp->GetRangeAsync(nullptr, version,
+                                                            key_lo, key_hi,
+                                                            trace);
+                                 }),
+      stats, degradation);
 }
 
 Result<std::vector<Record>> RStore::GetHistory(const std::string& key,
                                                QueryStats* stats,
                                                TraceContext* trace) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetHistory(key, &local, trace);
-  RecordQueryFlight("get_history", local, before, backend_->stats(), nullptr,
-                    trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return TakeQueryResult(
+      RunQuery<AsyncQueryResult>("get_history", trace,
+                                 [&](QueryProcessor* qp) {
+                                   return qp->GetHistoryAsync(nullptr, key,
+                                                              trace);
+                                 }),
+      stats);
 }
 
 Result<Record> RStore::GetRecord(const std::string& key, VersionId version,
                                  QueryStats* stats, TraceContext* trace) {
-  RSTORE_RETURN_IF_ERROR(ProcessBatch(trace));
-  QueryProcessor qp(backend_, &catalog_, &tree_, layout_, options_,
-                    cache_.get(), cache_owner_);
-  const KVStats before = backend_->stats();
-  QueryStats local;
-  auto result = qp.GetRecord(key, version, &local, trace);
-  RecordQueryFlight("get_record", local, before, backend_->stats(), nullptr,
-                    trace);
-  if (stats != nullptr) *stats += local;
-  return result;
+  return TakeQueryResult(
+      RunQuery<AsyncRecordResult>("get_record", trace,
+                                  [&](QueryProcessor* qp) {
+                                    return qp->GetRecordAsync(nullptr, key,
+                                                              version, trace);
+                                  }),
+      stats);
 }
-
-namespace {
-
-/// Pins a heap-held QueryProcessor until `future` completes (continuations
-/// may run long after the submitting frame returns).
-template <typename T>
-Future<T> PinProcessor(std::shared_ptr<QueryProcessor> qp, Future<T> future) {
-  future.OnReady([qp = std::move(qp)](const T&) {});
-  return future;
-}
-
-template <typename T>
-Future<T> AsyncError(Status error) {
-  T result;
-  result.status = std::move(error);
-  return MakeReadyFuture(std::move(result));
-}
-
-}  // namespace
 
 Future<AsyncQueryResult> RStore::GetVersionAsync(Executor* executor,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  // The flush prologue runs synchronously, like the sync twins: writes and
-  // async reads never overlap (documented contract).
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncQueryResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future =
-      PinProcessor(qp, qp->GetVersionAsync(executor, version, trace));
-  // `trace` outlives the future (documented contract); `this` outlives every
-  // query it serves.
-  future.OnReady([this, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight("get_version_async", result.stats, before,
-                      backend_->stats(), &result.degradation, trace);
-  });
-  return future;
+  return RunQuery<AsyncQueryResult>(
+      "get_version_async", trace, [&](QueryProcessor* qp) {
+        return qp->GetVersionAsync(executor, version, trace);
+      });
 }
 
 Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
@@ -856,56 +843,29 @@ Future<AsyncQueryResult> RStore::GetRangeAsync(Executor* executor,
                                                const std::string& key_lo,
                                                const std::string& key_hi,
                                                TraceContext* trace) {
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncQueryResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future = PinProcessor(
-      qp, qp->GetRangeAsync(executor, version, key_lo, key_hi, trace));
-  future.OnReady([this, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight("get_range_async", result.stats, before,
-                      backend_->stats(), &result.degradation, trace);
-  });
-  return future;
+  return RunQuery<AsyncQueryResult>(
+      "get_range_async", trace, [&](QueryProcessor* qp) {
+        return qp->GetRangeAsync(executor, version, key_lo, key_hi, trace);
+      });
 }
 
 Future<AsyncQueryResult> RStore::GetHistoryAsync(Executor* executor,
                                                  const std::string& key,
                                                  TraceContext* trace) {
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncQueryResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncQueryResult> future =
-      PinProcessor(qp, qp->GetHistoryAsync(executor, key, trace));
-  future.OnReady([this, before, trace](const AsyncQueryResult& result) {
-    RecordQueryFlight("get_history_async", result.stats, before,
-                      backend_->stats(), &result.degradation, trace);
-  });
-  return future;
+  return RunQuery<AsyncQueryResult>(
+      "get_history_async", trace, [&](QueryProcessor* qp) {
+        return qp->GetHistoryAsync(executor, key, trace);
+      });
 }
 
 Future<AsyncRecordResult> RStore::GetRecordAsync(Executor* executor,
                                                  const std::string& key,
                                                  VersionId version,
                                                  TraceContext* trace) {
-  Status flushed = ProcessBatch(trace);
-  if (!flushed.ok()) return AsyncError<AsyncRecordResult>(std::move(flushed));
-  auto qp = std::make_shared<QueryProcessor>(backend_, &catalog_, &tree_,
-                                             layout_, options_, cache_.get(),
-                                             cache_owner_);
-  const KVStats before = backend_->stats();
-  Future<AsyncRecordResult> future =
-      PinProcessor(qp, qp->GetRecordAsync(executor, key, version, trace));
-  future.OnReady([this, before, trace](const AsyncRecordResult& result) {
-    RecordQueryFlight("get_record_async", result.stats, before,
-                      backend_->stats(), nullptr, trace);
-  });
-  return future;
+  return RunQuery<AsyncRecordResult>(
+      "get_record_async", trace, [&](QueryProcessor* qp) {
+        return qp->GetRecordAsync(executor, key, version, trace);
+      });
 }
 
 Result<VersionDelta> RStore::Diff(VersionId from, VersionId to) const {

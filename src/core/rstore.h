@@ -112,6 +112,8 @@ class RStore {
   //    Under Options::read_mode == ReadMode::kBestEffort, GetVersion and
   //    GetRange skip chunks the backend cannot serve and report them via
   //    `degradation` (and QueryStats::missing_chunks) instead of failing.
+  //    Each runs the same query body as its *Async form, inline on the
+  //    backend's blocking reads.
   Result<std::vector<Record>> GetVersion(VersionId version,
                                          QueryStats* stats = nullptr,
                                          TraceContext* trace = nullptr,
@@ -131,13 +133,13 @@ class RStore {
                            QueryStats* stats = nullptr,
                            TraceContext* trace = nullptr);
 
-  // -- Asynchronous query twins (see QueryProcessor). Each flushes any
-  //    staged batch synchronously, then submits the query onto `executor`'s
+  // -- Asynchronous queries (see QueryProcessor). Each flushes any staged
+  //    batch synchronously, then submits the query onto `executor`'s
   //    virtual timeline; the future completes at the query's simulated
-  //    completion instant with results byte-identical to the sync method
-  //    and the query's own cost accounting in the payload. All async
-  //    queries against one store must share one Executor, and writes must
-  //    not run while queries are in flight (drain the executor first).
+  //    completion instant with the query's own cost accounting in the
+  //    payload. All async queries against one store must share one
+  //    Executor, and writes must not run while queries are in flight (drain
+  //    the executor first).
   Future<AsyncQueryResult> GetVersionAsync(Executor* executor,
                                            VersionId version,
                                            TraceContext* trace = nullptr);
@@ -208,6 +210,15 @@ class RStore {
   Status ProcessBatchImpl(TraceContext* trace);
 
   Status WriteChunk(Chunk* chunk);
+
+  /// The frame shared by the eight query entry points: flushes any staged
+  /// batch, runs `submit` on a QueryProcessor pinned until the query
+  /// completes, and logs the query's flight record (as `flight_name`) at
+  /// completion. The blocking entry points submit with a null executor, so
+  /// the future they get back is already complete.
+  template <typename R, typename Submit>
+  Future<R> RunQuery(const char* flight_name, TraceContext* trace,
+                     Submit submit);
 
   KVStore* backend_;
   Options options_;

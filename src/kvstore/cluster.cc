@@ -94,20 +94,6 @@ uint64_t ScaleMicros(uint64_t us, double multiplier) {
       std::llround(static_cast<double>(us) * multiplier));
 }
 
-/// Attribution of one completion/failure event: how its instant (relative
-/// to the operation start) decomposes into queue wait, service, and retry
-/// penalty, minus hedge savings. The invariant
-///   queue_us + service_us + retry_us - hedge_saved_us == event instant
-/// holds for every event an operation produces; the operation's attribution
-/// is its critical event's (the one that set the charged latency), plus the
-/// coordinator overhead as service.
-struct EventAttribution {
-  uint64_t queue_us = 0;
-  uint64_t service_us = 0;
-  uint64_t retry_us = 0;
-  uint64_t hedge_saved_us = 0;
-};
-
 }  // namespace
 
 Cluster::Cluster(const ClusterOptions& options)
@@ -199,7 +185,7 @@ Status Cluster::Put(const std::string& table, Slice key, Slice value) {
   std::vector<std::pair<uint32_t, Hint>> staged;
   int wrote = 0;
   uint64_t slowest_us = 0;
-  EventAttribution crit;
+  Attribution crit;
   uint64_t n_retries = 0;
   uint64_t n_timeouts = 0;
   for (uint32_t node : replicas) {
@@ -215,7 +201,7 @@ Status Cluster::Put(const std::string& table, Slice key, Slice value) {
     n_retries += chain.retries;
     bool ok = chain.served;
     uint64_t completion = chain.failure_us;
-    EventAttribution event;
+    Attribution event;
     // A chain that gave up spent its whole interval on failed attempts.
     event.retry_us = chain.failure_us;
     if (ok) {
@@ -283,77 +269,20 @@ Status Cluster::Put(const std::string& table, Slice key, Slice value) {
 }
 
 Result<std::string> Cluster::Get(const std::string& table, Slice key) {
-  const uint64_t tick = injector_.NextTick();
-  ReplayReadyHints(tick);
-  const auto replicas = ring_.Replicas(key, options_.replication_factor);
-  int pos = FirstUp(replicas, tick);
-  if (pos < 0) return Status::IOError("all replicas down");
-  const uint64_t timeout_us = options_.retry.request_timeout_us;
-  uint64_t start_us = 0;
-  uint32_t round = 0;
-  uint64_t n_retries = 0;
-  uint64_t n_timeouts = 0;
-  while (true) {
-    const uint32_t node = replicas[static_cast<size_t>(pos)];
-    Result<std::string> r = nodes_[node]->Get(table, key);
-    const uint64_t bytes = r.ok() ? r.value().size() : 0;
-    const AttemptChain chain =
-        SimulateAttempts(node, tick, round, kSaltRead, start_us);
-    n_retries += chain.retries;
-    bool failed = !chain.served;
-    uint64_t fail_time = chain.failure_us;
-    uint64_t completion = 0;
-    if (chain.served) {
-      completion = chain.start_us +
-                   ScaleMicros(options_.latency.NodeServiceMicros(1, bytes),
-                               chain.slow_multiplier);
-      if (timeout_us > 0 && completion > start_us + timeout_us) {
-        failed = true;
-        fail_time = start_us + timeout_us;
-        ++n_timeouts;
-      }
-    }
-    if (!failed) {
-      const uint64_t micros =
-          options_.latency.coordinator_overhead_us + completion;
-      // Everything before the serving attempt's issue — failover waits and
-      // backoffs across all rounds — is retry penalty; the attempt itself
-      // plus the coordinator overhead is service.
-      const uint64_t retry_us = chain.start_us;
-      const uint64_t service_us =
-          (completion - chain.start_us) + options_.latency.coordinator_overhead_us;
-      const ClusterMetrics& metrics = ClusterMetrics::Get();
-      metrics.requests_total->Increment();
-      metrics.bytes_read_total->Increment(bytes);
-      metrics.simulated_micros_total->Increment(micros);
-      metrics.service_micros_total->Increment(service_us);
-      if (retry_us > 0) metrics.retry_penalty_micros_total->Increment(retry_us);
-      if (n_retries > 0) metrics.retries_total->Increment(n_retries);
-      if (n_timeouts > 0) metrics.timeouts_total->Increment(n_timeouts);
-      MutexLock lock(mu_);
-      ++stats_.gets;
-      ++stats_.keys_requested;
-      stats_.bytes_read += bytes;
-      stats_.simulated_micros += micros;
-      stats_.service_us += service_us;
-      stats_.retry_penalty_us += retry_us;
-      stats_.retries += n_retries;
-      stats_.timeouts += n_timeouts;
-      return r;
-    }
-    // Fail over to the next serving replica, resuming at the failure time.
-    pos = NextUp(replicas, static_cast<size_t>(pos), tick);
-    if (pos < 0) return Status::IOError("replicas exhausted");
-    start_us = fail_time;
-    ++round;
-  }
+  std::map<std::string, std::string> out;
+  RSTORE_RETURN_IF_ERROR(ReadBlocking(table, {key.ToString()}, &out,
+                                      /*failures=*/nullptr,
+                                      /*point_get=*/true, /*trace=*/nullptr));
+  if (out.empty()) return Status::NotFound("key: " + key.ToString());
+  return std::move(out.begin()->second);
 }
 
 Status Cluster::MultiGet(const std::string& table,
                          const std::vector<std::string>& keys,
                          std::map<std::string, std::string>* out,
                          TraceContext* trace) {
-  return MultiGetInternal(table, keys, out, /*failures=*/nullptr, trace);
+  return ReadBlocking(table, keys, out, /*failures=*/nullptr,
+                      /*point_get=*/false, trace);
 }
 
 Status Cluster::MultiGetPartial(const std::string& table,
@@ -362,396 +291,75 @@ Status Cluster::MultiGetPartial(const std::string& table,
                                 std::vector<KeyReadFailure>* failures,
                                 TraceContext* trace) {
   RSTORE_CHECK(failures != nullptr);
-  return MultiGetInternal(table, keys, out, failures, trace);
+  return ReadBlocking(table, keys, out, failures, /*point_get=*/false, trace);
 }
 
-Status Cluster::MultiGetInternal(const std::string& table,
-                                 const std::vector<std::string>& keys,
-                                 std::map<std::string, std::string>* out,
-                                 std::vector<KeyReadFailure>* failures,
-                                 TraceContext* trace) {
-  ScopedSpan span(trace, "kvs.multiget");
-  const uint64_t sim_batch_start = trace != nullptr ? trace->sim_now_us() : 0;
-  const uint64_t tick = injector_.NextTick();
-  ReplayReadyHints(tick);
-
-  // Route each key to its first serving replica. A routed key remembers its
-  // replica list and current position so retry exhaustion or a timeout can
-  // fail it over down the list.
-  struct Member {
-    size_t key_idx;
-    std::vector<uint32_t> replicas;
-    size_t pos;
-  };
-  struct Group {
-    uint32_t node;
-    uint64_t start_us;  // offset from the batch start on the simulated clock
-    uint32_t round;     // failover depth, decorrelates fault decisions
-    std::vector<Member> members;
-    /// Attribution of start_us, inherited from the event chain that issued
-    /// this group (zero for initial groups): queue + service + retry ==
-    /// start_us exactly, through arbitrary failover chains.
-    uint64_t attr_queue_us = 0;
-    uint64_t attr_service_us = 0;
-    uint64_t attr_retry_us = 0;
-  };
-  std::vector<std::vector<Member>> initial(nodes_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto replicas = ring_.Replicas(keys[i], options_.replication_factor);
-    const int pos = FirstUp(replicas, tick);
-    if (pos < 0) {
-      Status down = Status::IOError("all replicas down for a key");
-      if (failures == nullptr) return down;
-      failures->push_back({keys[i], std::move(down)});
-      continue;
-    }
-    const uint32_t node = replicas[static_cast<size_t>(pos)];
-    initial[node].push_back(
-        Member{i, std::move(replicas), static_cast<size_t>(pos)});
-  }
-  std::vector<Group> worklist;
-  for (size_t node = 0; node < initial.size(); ++node) {
-    if (initial[node].empty()) continue;
-    worklist.push_back(Group{static_cast<uint32_t>(node), /*start_us=*/0,
-                             /*round=*/0, std::move(initial[node])});
-  }
-
-  const uint64_t timeout_us = options_.retry.request_timeout_us;
-  const uint64_t hedge_threshold = options_.latency.hedge_threshold_us;
-  uint64_t slowest_us = 0;  // latest completion/failure event in the batch
-  // Attribution of the critical event (the one that set slowest_us).
-  // Strictly-greater updates keep ties resolved toward the first event,
-  // which the async path mirrors so both engines attribute identically.
-  EventAttribution crit;
-  uint64_t total_bytes = 0;
-  uint32_t nodes_contacted = 0;
-  uint64_t n_retries = 0;
-  uint64_t n_hedges = 0;
-  uint64_t n_hedge_wins = 0;
-  uint64_t n_timeouts = 0;
-
-  // Routes members that failed at `fail_us` to their next serving replicas,
-  // appending new groups (or recording per-key failures). Returns an error
-  // in strict mode when a key has no replica left.
-  auto fail_over = [&](std::vector<Member> failed, uint64_t fail_us,
-                       uint32_t next_round, const EventAttribution& attr,
-                       const char* reason) -> Status {
-    std::map<uint32_t, std::vector<Member>> regrouped;
-    for (Member& m : failed) {
-      const int next = NextUp(m.replicas, m.pos, tick);
-      if (next < 0) {
-        Status exhausted = Status::IOError(reason);
-        if (failures == nullptr) return exhausted;
-        failures->push_back({keys[m.key_idx], std::move(exhausted)});
-        continue;
-      }
-      m.pos = static_cast<size_t>(next);
-      regrouped[m.replicas[m.pos]].push_back(std::move(m));
-    }
-    for (auto& [node, members] : regrouped) {
-      // The new group inherits the failing event's attribution: its
-      // start_us is that event's instant, already decomposed in `attr`.
-      worklist.push_back(Group{node, fail_us, next_round, std::move(members),
-                               attr.queue_us, attr.service_us, attr.retry_us});
-    }
-    return Status::OK();
-  };
-
-  for (size_t gi = 0; gi < worklist.size(); ++gi) {
-    Group g = std::move(worklist[gi]);
-    // Physical read from the serving replica. Replicas hold identical data:
-    // down nodes are never routed to, and recovered ones are backfilled by
-    // ReplayReadyHints before routing (above).
-    std::vector<std::string> group_keys;
-    group_keys.reserve(g.members.size());
-    for (const Member& m : g.members) group_keys.push_back(keys[m.key_idx]);
-    std::map<std::string, std::string> node_result;
-    RSTORE_RETURN_IF_ERROR(
-        nodes_[g.node]->MultiGet(table, group_keys, &node_result));
-    uint64_t node_bytes = 0;
-    for (const auto& [key, value] : node_result) node_bytes += value.size();
-
-    // The group abandons all outstanding work at its simulated deadline:
-    // every span it records is clamped there, which keeps children inside
-    // the "kvs.multiget" parent interval (the parent ends at the charged
-    // time, and nothing past an abandonment is charged).
-    const uint64_t deadline =
-        timeout_us > 0 ? g.start_us + timeout_us
-                       : std::numeric_limits<uint64_t>::max();
-
-    const AttemptChain chain =
-        SimulateAttempts(g.node, tick, g.round, kSaltRead, g.start_us);
-    n_retries += chain.retries;
-    if (trace != nullptr) {
-      for (size_t k = 0; k < chain.failed_attempts.size(); ++k) {
-        const uint64_t attempt_start =
-            std::min(chain.failed_attempts[k].first, deadline);
-        const uint64_t attempt_end =
-            std::min(chain.failed_attempts[k].second, deadline);
-        if (attempt_start >= attempt_end) continue;  // abandoned before issue
-        trace->AddSimulatedSpan(
-            StringPrintf("node%u.retry%zu", g.node, k + 1),
-            sim_batch_start + attempt_start, sim_batch_start + attempt_end);
-      }
-    }
-    if (!chain.served) {
-      const uint64_t fail_us = std::min(chain.failure_us, deadline);
-      // Everything since the group's issue went to failed attempts.
-      const EventAttribution event{g.attr_queue_us, g.attr_service_us,
-                                   g.attr_retry_us + (fail_us - g.start_us),
-                                   0};
-      if (fail_us > slowest_us) {
-        slowest_us = fail_us;
-        crit = event;
-      }
-      RSTORE_RETURN_IF_ERROR(fail_over(std::move(g.members), fail_us,
-                                       g.round + 1, event,
-                                       "replicas exhausted for a key"));
-      continue;
-    }
-    if (chain.start_us >= deadline) {
-      // Retry backoff pushed the serving attempt past the deadline: the
-      // whole group times out without the attempt being issued.
-      ++n_timeouts;
-      const EventAttribution event{g.attr_queue_us, g.attr_service_us,
-                                   g.attr_retry_us + (deadline - g.start_us),
-                                   0};
-      if (deadline > slowest_us) {
-        slowest_us = deadline;
-        crit = event;
-      }
-      RSTORE_RETURN_IF_ERROR(fail_over(std::move(g.members), deadline,
-                                       g.round + 1, event,
-                                       "request timed out"));
-      continue;
-    }
-
-    const uint64_t node_us =
-        ScaleMicros(options_.latency.NodeServiceMicros(group_keys.size(),
-                                                       node_bytes),
-                    chain.slow_multiplier);
-    const uint64_t primary_completion = chain.start_us + node_us;
-    ++nodes_contacted;
-
-    // Hedged reads: when the replica's modeled service time crosses the
-    // threshold, speculatively re-issue each key to its next serving replica
-    // and complete at whichever finishes first. The hedge reads the same
-    // bytes, so data still comes from the primary's result. No hedge fires
-    // once the deadline has passed its issue time.
-    std::vector<uint64_t> completion(g.members.size(), primary_completion);
-    struct HedgeEvent {
-      uint32_t target;
-      uint64_t end_us;
-      size_t num_members;
-      uint64_t latest_need;  // last effective completion among its members
-    };
-    std::vector<HedgeEvent> hedge_events;
-    const uint64_t hedge_issue = chain.start_us + hedge_threshold;
-    if (hedge_threshold > 0 && node_us > hedge_threshold &&
-        hedge_issue < deadline) {
-      std::map<uint32_t, std::vector<size_t>> by_target;  // member indexes
-      for (size_t mi = 0; mi < g.members.size(); ++mi) {
-        const Member& m = g.members[mi];
-        const int next = NextUp(m.replicas, m.pos, tick);
-        if (next >= 0) {
-          by_target[m.replicas[static_cast<size_t>(next)]].push_back(mi);
-        }
-      }
-      for (const auto& [target, member_idxs] : by_target) {
-        ++n_hedges;
-        const FaultDecision hd = injector_.Decide(
-            target, tick, /*attempt=*/0, kSaltHedge + kSaltStride * g.round);
-        const bool hedge_ok = hd.kind != FaultKind::kTransientError;
-        uint64_t hedge_end;
-        if (hedge_ok) {
-          uint64_t hedge_bytes = 0;
-          for (size_t mi : member_idxs) {
-            auto it = node_result.find(keys[g.members[mi].key_idx]);
-            if (it != node_result.end()) hedge_bytes += it->second.size();
-          }
-          hedge_end = hedge_issue +
-                      ScaleMicros(options_.latency.NodeServiceMicros(
-                                      member_idxs.size(), hedge_bytes),
-                                  hd.slow_multiplier);
-        } else {
-          hedge_end = hedge_issue + options_.latency.request_overhead_us;
-        }
-        if (hedge_ok && hedge_end < primary_completion) {
-          ++n_hedge_wins;
-          for (size_t mi : member_idxs) completion[mi] = hedge_end;
-        }
-        hedge_events.push_back(HedgeEvent{target, hedge_end,
-                                          member_idxs.size(), /*latest=*/0});
-        for (size_t mi : member_idxs) {
-          HedgeEvent& ev = hedge_events.back();
-          ev.latest_need = std::max(ev.latest_need,
-                                    std::min(completion[mi], deadline));
-        }
-      }
-    }
-
-    // Per-key deadline check, then serve whatever made it in time. A
-    // member's effective completion — when the coordinator stops waiting on
-    // it — is its (possibly hedged) completion, or the deadline.
-    std::vector<Member> timed_out;
-    uint64_t group_end = chain.start_us;  // last instant this node mattered
-    for (size_t mi = 0; mi < g.members.size(); ++mi) {
-      if (completion[mi] > deadline) {
-        group_end = std::max(group_end, deadline);
-        timed_out.push_back(std::move(g.members[mi]));
-        continue;
-      }
-      group_end = std::max(group_end, completion[mi]);
-      if (completion[mi] > slowest_us) {
-        slowest_us = completion[mi];
-        // The member's service chain: backoffs since issue are penalty, the
-        // node's full modeled service is service, and a winning hedge's
-        // saving subtracts (completion == primary - saved).
-        crit = EventAttribution{
-            g.attr_queue_us, g.attr_service_us + node_us,
-            g.attr_retry_us + (chain.start_us - g.start_us),
-            primary_completion - completion[mi]};
-      }
-      auto it = node_result.find(keys[g.members[mi].key_idx]);
-      if (it != node_result.end()) {
-        total_bytes += it->second.size();
-        (*out)[it->first] = it->second;
-      }
-    }
-    if (trace != nullptr) {
-      // The node's span ends when its last member resolved (completed,
-      // superseded by a hedge, or abandoned at the deadline) — not at the
-      // modeled completion of a request nobody waited for.
-      const uint32_t node_span = trace->AddSimulatedSpan(
-          StringPrintf("node%u", g.node), sim_batch_start + chain.start_us,
-          sim_batch_start + std::min(group_end, primary_completion));
-      trace->Annotate(node_span, "keys", std::to_string(group_keys.size()));
-      trace->Annotate(node_span, "bytes", std::to_string(node_bytes));
-      for (const HedgeEvent& ev : hedge_events) {
-        const uint32_t hedge_span = trace->AddSimulatedSpan(
-            StringPrintf("node%u.hedge", ev.target),
-            sim_batch_start + hedge_issue,
-            sim_batch_start + std::max(hedge_issue,
-                                       std::min(ev.end_us, ev.latest_need)));
-        trace->Annotate(hedge_span, "keys", std::to_string(ev.num_members));
-      }
-    }
-    if (!timed_out.empty()) {
-      ++n_timeouts;
-      // The coordinator waited out [issue, deadline]: backoffs are penalty,
-      // the in-deadline slice of the attempt is service.
-      const EventAttribution event{
-          g.attr_queue_us, g.attr_service_us + (deadline - chain.start_us),
-          g.attr_retry_us + (chain.start_us - g.start_us), 0};
-      if (deadline > slowest_us) {
-        slowest_us = deadline;
-        crit = event;
-      }
-      RSTORE_RETURN_IF_ERROR(fail_over(std::move(timed_out), deadline,
-                                       g.round + 1, event,
-                                       "request timed out"));
-    }
-  }
-
-  const uint64_t charged_us =
-      options_.latency.coordinator_overhead_us + slowest_us;
-  // The batch's attribution is the critical event's, plus the coordinator
-  // overhead as service: queue + service + retry - hedge == charged_us.
-  const uint64_t attr_service_us =
-      crit.service_us + options_.latency.coordinator_overhead_us;
-  if (trace != nullptr) {
-    // The batch's simulated cost is exactly what stats_ is charged below;
-    // ending the span after this advance makes its simulated duration equal
-    // that charge (asserted by the observability tests).
-    trace->AdvanceSim(charged_us);
-    span.Annotate("keys", std::to_string(keys.size()));
-    span.Annotate("bytes", std::to_string(total_bytes));
-    span.Annotate("nodes", std::to_string(nodes_contacted));
-    span.Annotate("queue_wait_us", std::to_string(crit.queue_us));
-    span.Annotate("service_us", std::to_string(attr_service_us));
-    span.Annotate("retry_penalty_us", std::to_string(crit.retry_us));
-    span.Annotate("hedge_delta_us", std::to_string(crit.hedge_saved_us));
-  }
-  const ClusterMetrics& metrics = ClusterMetrics::Get();
-  metrics.requests_total->Increment();
-  metrics.multiget_batches_total->Increment();
-  metrics.keys_requested_total->Increment(keys.size());
-  metrics.bytes_read_total->Increment(total_bytes);
-  metrics.simulated_micros_total->Increment(charged_us);
-  metrics.service_micros_total->Increment(attr_service_us);
-  if (crit.queue_us > 0) {
-    metrics.queue_wait_micros_total->Increment(crit.queue_us);
-  }
-  if (crit.retry_us > 0) {
-    metrics.retry_penalty_micros_total->Increment(crit.retry_us);
-  }
-  if (crit.hedge_saved_us > 0) {
-    metrics.hedge_saved_micros_total->Increment(crit.hedge_saved_us);
-  }
-  metrics.multiget_batch_keys->Observe(keys.size());
-  if (n_retries > 0) metrics.retries_total->Increment(n_retries);
-  if (n_hedges > 0) metrics.hedges_total->Increment(n_hedges);
-  if (n_hedge_wins > 0) metrics.hedge_wins_total->Increment(n_hedge_wins);
-  if (n_timeouts > 0) metrics.timeouts_total->Increment(n_timeouts);
-  MutexLock lock(mu_);
-  ++stats_.multiget_batches;
-  stats_.keys_requested += keys.size();
-  stats_.bytes_read += total_bytes;
-  stats_.simulated_micros += charged_us;
-  stats_.queue_wait_us += crit.queue_us;
-  stats_.service_us += attr_service_us;
-  stats_.retry_penalty_us += crit.retry_us;
-  stats_.hedge_delta_us += crit.hedge_saved_us;
-  stats_.retries += n_retries;
-  stats_.hedges += n_hedges;
-  stats_.hedge_wins += n_hedge_wins;
-  stats_.timeouts += n_timeouts;
-  return Status::OK();
+Status Cluster::ReadBlocking(const std::string& table,
+                             const std::vector<std::string>& keys,
+                             std::map<std::string, std::string>* out,
+                             std::vector<KeyReadFailure>* failures,
+                             bool point_get, TraceContext* trace) {
+  auto batch = std::make_shared<ReadBatch>();
+  batch->table = table;
+  batch->keys = keys;
+  batch->partial = failures != nullptr;
+  batch->point_get = point_get;
+  batch->trace = trace;
+  batch->values = out;
+  if (failures != nullptr) batch->failures = failures;
+  StartBatch(batch);
+  return batch->result.status;
 }
 
 Future<AsyncMultiGetResult> Cluster::MultiGetAsync(
     Executor* executor, const std::string& table,
     const std::vector<std::string>& keys, bool partial, TraceContext* trace) {
   RSTORE_CHECK(executor != nullptr);
-  auto state = std::make_shared<AsyncMultiGetState>();
-  state->executor = executor;
-  state->table = table;
-  state->keys = keys;
-  state->partial = partial;
-  state->trace = trace;
-  // Same tick/hint discipline as the sync path: batches submitted in the
-  // same order draw the same fault streams, which is what makes a
-  // sequentially-drained async run replay the synchronous timeline.
-  state->tick = injector_.NextTick();
-  ReplayReadyHints(state->tick);
-  state->submit_us = executor->now_us();
-  state->last_event_us = state->submit_us;
   {
     MutexLock lock(mu_);
     RSTORE_DCHECK(async_executor_ == nullptr || async_executor_ == executor)
         << "one Cluster, one async executor (one virtual timeline)";
     async_executor_ = executor;
   }
-  if (trace != nullptr) {
-    state->span_id = trace->StartSpan("kvs.multiget");
-    state->sim_batch_start = trace->sim_now_us();
+  auto batch = std::make_shared<ReadBatch>();
+  batch->executor = executor;
+  batch->table = table;
+  batch->keys = keys;
+  batch->partial = partial;
+  batch->trace = trace;
+  StartBatch(batch);
+  return batch->promise.future();
+}
+
+void Cluster::StartBatch(const BatchPtr& batch) {
+  // Batches submitted in the same order draw the same fault streams, which
+  // is what makes a sequentially drained async run replay a blocking one.
+  batch->tick = injector_.NextTick();
+  ReplayReadyHints(batch->tick);
+  Executor* executor = batch->executor;
+  batch->submit_us = executor != nullptr ? executor->now_us() : 0;
+  batch->last_event_us = batch->submit_us;
+  if (batch->trace != nullptr) {
+    batch->span_id = batch->trace->StartSpan("kvs.multiget");
+    batch->sim_batch_start = batch->trace->sim_now_us();
   }
 
-  // Route each key to its first serving replica (identical to the sync
-  // path); initial groups are issued at the submission instant.
-  using Member = AsyncMultiGetState::Member;
-  using Group = AsyncMultiGetState::Group;
+  // Route each key to its first serving replica. A routed key remembers its
+  // replica list and position so retry exhaustion or a timeout can fail it
+  // over down the list. Initial groups are issued at submission.
+  using Member = ReadBatch::Member;
   std::vector<std::vector<Member>> initial(nodes_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto replicas = ring_.Replicas(keys[i], options_.replication_factor);
-    const int pos = FirstUp(replicas, state->tick);
+  for (size_t i = 0; i < batch->keys.size(); ++i) {
+    auto replicas = ring_.Replicas(batch->keys[i],
+                                   options_.replication_factor);
+    const int pos = FirstUp(replicas, batch->tick);
     if (pos < 0) {
       Status down = Status::IOError("all replicas down for a key");
-      if (!partial) {
-        AbortAsync(state, std::move(down));
-        return state->promise.future();
+      if (!batch->partial) {
+        AbortBatch(batch, std::move(down));
+        return;
       }
-      state->result.failures.push_back({keys[i], std::move(down)});
+      batch->failures->push_back({batch->keys[i], std::move(down)});
       continue;
     }
     const uint32_t node = replicas[static_cast<size_t>(pos)];
@@ -760,44 +368,51 @@ Future<AsyncMultiGetResult> Cluster::MultiGetAsync(
   }
   for (size_t node = 0; node < initial.size(); ++node) {
     if (initial[node].empty()) continue;
-    state->groups.push_back(Group{static_cast<uint32_t>(node),
-                                  state->submit_us, /*round=*/0,
-                                  std::move(initial[node])});
+    batch->groups.push_back(ReadBatch::Group{static_cast<uint32_t>(node),
+                                             batch->submit_us, /*round=*/0,
+                                             std::move(initial[node]),
+                                             Attribution{}});
   }
-  state->outstanding = state->groups.size();
-  if (state->outstanding == 0) {
-    // Nothing to contact: the batch still costs one coordinator overhead.
-    const uint64_t charged = options_.latency.coordinator_overhead_us;
-    state->result.charged_micros = charged;
-    executor->PostAt(state->submit_us + charged,
-                     [this, state] { FinalizeAsync(state); });
-    return state->promise.future();
+  batch->outstanding = batch->groups.size();
+  if (batch->outstanding == 0) {
+    // Nothing to contact: resolving one empty group charges the batch its
+    // coordinator overhead.
+    batch->outstanding = 1;
+    GroupResolved(batch);
+    return;
   }
-  for (size_t gi = 0; gi < state->groups.size(); ++gi) {
-    executor->PostAt(state->submit_us, [this, state, gi] {
-      ProcessAsyncGroup(state, gi);
-    });
+  if (executor != nullptr) {
+    for (size_t gi = 0; gi < batch->groups.size(); ++gi) {
+      executor->PostAt(batch->submit_us,
+                       [this, batch, gi] { ProcessGroup(batch, gi); });
+    }
+    return;
   }
-  return state->promise.future();
+  // Blocking: walk the worklist in FIFO order; failovers append to it.
+  for (size_t gi = 0; gi < batch->groups.size(); ++gi) {
+    ProcessGroup(batch, gi);
+  }
 }
 
-void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
-                                size_t group_index) {
-  if (state->failed) return;
-  using Member = AsyncMultiGetState::Member;
-  // Move the group out: failovers may reallocate state->groups.
-  AsyncMultiGetState::Group g = std::move(state->groups[group_index]);
+void Cluster::ProcessGroup(const BatchPtr& batch, size_t group_index) {
+  if (batch->failed) return;
+  using Member = ReadBatch::Member;
+  // Move the group out: failovers may reallocate batch->groups.
+  ReadBatch::Group g = std::move(batch->groups[group_index]);
+  const bool queued = batch->executor != nullptr;
+  TraceContext* const trace = batch->trace;
 
+  // Physical read from the serving replica. Replicas hold identical data:
+  // down nodes are never routed to, and recovered ones are backfilled by
+  // ReplayReadyHints before routing.
   std::vector<std::string> group_keys;
   group_keys.reserve(g.members.size());
-  for (const Member& m : g.members) {
-    group_keys.push_back(state->keys[m.key_idx]);
-  }
+  for (const Member& m : g.members) group_keys.push_back(batch->keys[m.key_idx]);
   std::map<std::string, std::string> node_result;
-  Status read = nodes_[g.node]->MultiGet(state->table, group_keys,
+  Status read = nodes_[g.node]->MultiGet(batch->table, group_keys,
                                          &node_result);
   if (!read.ok()) {
-    AbortAsync(state, std::move(read));
+    AbortBatch(batch, std::move(read));
     return;
   }
   uint64_t node_bytes = 0;
@@ -805,85 +420,77 @@ void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
 
   const uint64_t timeout_us = options_.retry.request_timeout_us;
   const uint64_t hedge_threshold = options_.latency.hedge_threshold_us;
-  // The deadline runs from the group's issue instant — queueing delay at
-  // the node eats into the coordinator's patience, as it would for real.
+  // The group abandons all outstanding work at its simulated deadline,
+  // which runs from its issue instant — queueing at the node eats into the
+  // coordinator's patience. Every span it records is clamped there, which
+  // keeps children inside the "kvs.multiget" parent interval.
   const uint64_t deadline = timeout_us > 0
                                 ? g.start_us + timeout_us
                                 : std::numeric_limits<uint64_t>::max();
 
-  // Per-node FIFO queue: service begins once the node has drained every
-  // batch it previously accepted on this virtual timeline.
-  uint64_t service_start;
-  {
+  // Per-node FIFO queue (async only): service begins once the node has
+  // drained every batch it previously accepted on this virtual timeline.
+  uint64_t service_start = g.start_us;
+  if (queued) {
     MutexLock lock(mu_);
     service_start = std::max(g.start_us, async_node_busy_us_[g.node]);
   }
 
   const AttemptChain chain =
-      SimulateAttempts(g.node, state->tick, g.round, kSaltRead, service_start);
-  state->n_retries += chain.retries;
-  for (size_t k = 0; k < chain.failed_attempts.size(); ++k) {
-    const uint64_t attempt_start =
-        std::min(chain.failed_attempts[k].first, deadline);
-    const uint64_t attempt_end =
-        std::min(chain.failed_attempts[k].second, deadline);
-    if (attempt_start >= attempt_end) continue;  // abandoned before issue
-    state->sim_spans.push_back(
-        {StringPrintf("node%u.retry%zu", g.node, k + 1), attempt_start,
-         attempt_end,
-         {}});
-  }
-  // Extends the group's inherited attribution to a failure/timeout event at
-  // absolute instant `event_us`: the wait for the node's queue (clamped at
-  // the event — the coordinator may stop waiting mid-queue) is queue wait,
-  // the rest of the interval went to failed attempts / backoff.
-  auto failure_attr = [&](uint64_t event_us) {
-    const uint64_t queue_end = std::min(service_start, event_us);
-    return EventAttribution{g.attr_queue_us + (queue_end - g.start_us),
-                            g.attr_service_us,
-                            g.attr_retry_us + (event_us - queue_end), 0};
-  };
-  // Considers one event as the batch's critical event; strictly-greater
-  // matches the sync path's std::max tie-breaking exactly.
-  auto consider = [&state](uint64_t event_us, const EventAttribution& attr) {
-    if (event_us > state->last_event_us) {
-      state->last_event_us = event_us;
-      state->crit_queue_us = attr.queue_us;
-      state->crit_service_us = attr.service_us;
-      state->crit_retry_us = attr.retry_us;
-      state->crit_hedge_us = attr.hedge_saved_us;
+      SimulateAttempts(g.node, batch->tick, g.round, kSaltRead, service_start);
+  batch->result.retries += chain.retries;
+  if (trace != nullptr) {
+    for (size_t k = 0; k < chain.failed_attempts.size(); ++k) {
+      const uint64_t attempt_start =
+          std::min(chain.failed_attempts[k].first, deadline);
+      const uint64_t attempt_end =
+          std::min(chain.failed_attempts[k].second, deadline);
+      if (attempt_start >= attempt_end) continue;  // abandoned before issue
+      batch->sim_spans.push_back(
+          {StringPrintf("node%u.retry%zu", g.node, k + 1), attempt_start,
+           attempt_end, {}});
     }
+  }
+  // Considers one event as the batch's critical event.
+  auto consider = [&batch](uint64_t event_us, const Attribution& attr) {
+    if (event_us > batch->last_event_us) {
+      batch->last_event_us = event_us;
+      batch->crit = attr;
+    }
+  };
+  // Fails the group's `members` over at `event_us`: the wait for the node's
+  // queue (clamped at the event — the coordinator may stop waiting
+  // mid-queue) is queue wait, the rest of the interval went to failed
+  // attempts / backoff, except `service_us` of an attempt that was cut off
+  // at the deadline.
+  auto fail_over = [&](std::vector<Member> members, uint64_t event_us,
+                       uint64_t service_us, const char* reason) {
+    const uint64_t queue_end = std::min(service_start, event_us);
+    const Attribution event{
+        g.attr.queue_us + (queue_end - g.start_us),
+        g.attr.service_us + service_us,
+        g.attr.retry_us + (event_us - queue_end - service_us), 0};
+    consider(event_us, event);
+    Status status = FailOver(batch, std::move(members), event_us, g.round + 1,
+                             event, reason);
+    if (status.ok()) return true;
+    AbortBatch(batch, std::move(status));
+    return false;
   };
   if (!chain.served) {
-    const uint64_t fail_us = std::min(chain.failure_us, deadline);
-    const EventAttribution event = failure_attr(fail_us);
-    consider(fail_us, event);
-    Status status = AsyncFailOver(state, std::move(g.members), fail_us,
-                                  g.round + 1, event.queue_us,
-                                  event.service_us, event.retry_us,
-                                  "replicas exhausted for a key");
-    if (!status.ok()) {
-      AbortAsync(state, std::move(status));
-      return;
+    if (fail_over(std::move(g.members), std::min(chain.failure_us, deadline),
+                  0, "replicas exhausted for a key")) {
+      GroupResolved(batch);
     }
-    AsyncGroupResolved(state);
     return;
   }
   if (chain.start_us >= deadline) {
     // Queueing and/or retry backoff pushed the serving attempt past the
     // deadline: the whole group times out without the attempt being issued.
-    ++state->n_timeouts;
-    const EventAttribution event = failure_attr(deadline);
-    consider(deadline, event);
-    Status status = AsyncFailOver(state, std::move(g.members), deadline,
-                                  g.round + 1, event.queue_us,
-                                  event.service_us, event.retry_us,
-                                  "request timed out");
-    if (!status.ok()) {
-      AbortAsync(state, std::move(status));
-      return;
+    ++batch->result.timeouts;
+    if (fail_over(std::move(g.members), deadline, 0, "request timed out")) {
+      GroupResolved(batch);
     }
-    AsyncGroupResolved(state);
     return;
   }
 
@@ -891,23 +498,29 @@ void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
       options_.latency.NodeServiceMicros(group_keys.size(), node_bytes),
       chain.slow_multiplier);
   const uint64_t primary_completion = chain.start_us + node_us;
-  ++state->nodes_contacted;
-  {
-    MutexLock lock(mu_);
-    async_node_busy_us_[g.node] =
-        std::max(async_node_busy_us_[g.node], primary_completion);
+  ++batch->nodes_contacted;
+  if (queued) {
+    {
+      MutexLock lock(mu_);
+      async_node_busy_us_[g.node] =
+          std::max(async_node_busy_us_[g.node], primary_completion);
+    }
+    MaybeSampleAsyncLoad(batch->executor->now_us());
   }
-  MaybeSampleAsyncLoad(state->executor->now_us());
 
-  // Hedged reads, as in the sync path, except that the hedge target's queue
-  // delays the speculative request — so whether a hedge *wins* depends on
-  // how busy its target is, and two attempts genuinely race.
+  // Hedged reads: when the replica's modeled service time crosses the
+  // threshold, speculatively re-issue each key to its next serving replica
+  // and complete at whichever finishes first. The hedge reads the same
+  // bytes, so data still comes from the primary's result. No hedge fires
+  // once the deadline has passed its issue time. On the async timeline the
+  // hedge target's queue delays the speculative request, so whether a hedge
+  // wins depends on how busy its target is.
   std::vector<uint64_t> completion(g.members.size(), primary_completion);
   struct HedgeEvent {
     uint32_t target;
     uint64_t end_us;
     size_t num_members;
-    uint64_t latest_need;
+    uint64_t latest_need;  // last effective completion among its members
   };
   std::vector<HedgeEvent> hedge_events;
   const uint64_t hedge_issue = chain.start_us + hedge_threshold;
@@ -916,56 +529,57 @@ void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
     std::map<uint32_t, std::vector<size_t>> by_target;  // member indexes
     for (size_t mi = 0; mi < g.members.size(); ++mi) {
       const Member& m = g.members[mi];
-      const int next = NextUp(m.replicas, m.pos, state->tick);
+      const int next = NextUp(m.replicas, m.pos, batch->tick);
       if (next >= 0) {
         by_target[m.replicas[static_cast<size_t>(next)]].push_back(mi);
       }
     }
     for (const auto& [target, member_idxs] : by_target) {
-      ++state->n_hedges;
+      ++batch->result.hedges;
       const FaultDecision hd =
-          injector_.Decide(target, state->tick, /*attempt=*/0,
+          injector_.Decide(target, batch->tick, /*attempt=*/0,
                            kSaltHedge + kSaltStride * g.round);
       const bool hedge_ok = hd.kind != FaultKind::kTransientError;
-      uint64_t hedge_begin;
-      {
+      uint64_t hedge_begin = hedge_issue;
+      if (queued) {
         MutexLock lock(mu_);
         hedge_begin = std::max(hedge_issue, async_node_busy_us_[target]);
       }
-      uint64_t hedge_end;
+      uint64_t hedge_end = hedge_begin + options_.latency.request_overhead_us;
       if (hedge_ok) {
         uint64_t hedge_bytes = 0;
         for (size_t mi : member_idxs) {
-          auto it = node_result.find(state->keys[g.members[mi].key_idx]);
+          auto it = node_result.find(batch->keys[g.members[mi].key_idx]);
           if (it != node_result.end()) hedge_bytes += it->second.size();
         }
         hedge_end = hedge_begin +
                     ScaleMicros(options_.latency.NodeServiceMicros(
                                     member_idxs.size(), hedge_bytes),
                                 hd.slow_multiplier);
-        MutexLock lock(mu_);
-        async_node_busy_us_[target] =
-            std::max(async_node_busy_us_[target], hedge_end);
-      } else {
-        hedge_end = hedge_begin + options_.latency.request_overhead_us;
+        if (queued) {
+          MutexLock lock(mu_);
+          async_node_busy_us_[target] =
+              std::max(async_node_busy_us_[target], hedge_end);
+        }
+        if (hedge_end < primary_completion) {
+          ++batch->result.hedge_wins;
+          for (size_t mi : member_idxs) completion[mi] = hedge_end;
+        }
       }
-      if (hedge_ok && hedge_end < primary_completion) {
-        ++state->n_hedge_wins;
-        for (size_t mi : member_idxs) completion[mi] = hedge_end;
-      }
-      hedge_events.push_back(
-          HedgeEvent{target, hedge_end, member_idxs.size(), /*latest=*/0});
+      HedgeEvent ev{target, hedge_end, member_idxs.size(), /*latest=*/0};
       for (size_t mi : member_idxs) {
-        HedgeEvent& ev = hedge_events.back();
         ev.latest_need =
             std::max(ev.latest_need, std::min(completion[mi], deadline));
       }
+      hedge_events.push_back(ev);
     }
   }
 
-  // Per-key deadline check, then serve whatever made it in time.
+  // Per-key deadline check, then serve whatever made it in time. A member's
+  // effective completion — when the coordinator stops waiting on it — is
+  // its (possibly hedged) completion, or the deadline.
   std::vector<Member> timed_out;
-  uint64_t group_end = chain.start_us;
+  uint64_t group_end = chain.start_us;  // last instant this node mattered
   for (size_t mi = 0; mi < g.members.size(); ++mi) {
     if (completion[mi] > deadline) {
       group_end = std::max(group_end, deadline);
@@ -977,53 +591,49 @@ void Cluster::ProcessAsyncGroup(const AsyncStatePtr& state,
     // serving attempt are penalty; the node's full modeled service is
     // service; a winning hedge's saving subtracts.
     consider(completion[mi],
-             EventAttribution{
-                 g.attr_queue_us + (service_start - g.start_us),
-                 g.attr_service_us + node_us,
-                 g.attr_retry_us + (chain.start_us - service_start),
-                 primary_completion - completion[mi]});
-    auto it = node_result.find(state->keys[g.members[mi].key_idx]);
+             Attribution{g.attr.queue_us + (service_start - g.start_us),
+                         g.attr.service_us + node_us,
+                         g.attr.retry_us + (chain.start_us - service_start),
+                         primary_completion - completion[mi]});
+    auto it = node_result.find(batch->keys[g.members[mi].key_idx]);
     if (it != node_result.end()) {
-      state->result.bytes_read += it->second.size();
-      state->result.values[it->first] = it->second;
+      // Moved, not copied; erasing it keeps a key requested twice from
+      // being served (and counted) twice.
+      batch->result.bytes_read += it->second.size();
+      (*batch->values)[it->first] = std::move(it->second);
+      node_result.erase(it);
     }
   }
-  {
-    AsyncMultiGetState::SimSpan node_span{
-        StringPrintf("node%u", g.node), chain.start_us,
-        std::min(group_end, primary_completion),
-        {{"keys", std::to_string(group_keys.size())},
-         {"bytes", std::to_string(node_bytes)}}};
-    state->sim_spans.push_back(std::move(node_span));
+  if (trace != nullptr) {
+    // The node's span ends when its last member resolved (completed,
+    // superseded by a hedge, or abandoned at the deadline) — not at the
+    // modeled completion of a request nobody waited for.
+    batch->sim_spans.push_back(
+        {StringPrintf("node%u", g.node), chain.start_us,
+         std::min(group_end, primary_completion),
+         {{"keys", std::to_string(group_keys.size())},
+          {"bytes", std::to_string(node_bytes)}}});
     for (const HedgeEvent& ev : hedge_events) {
-      state->sim_spans.push_back(
+      batch->sim_spans.push_back(
           {StringPrintf("node%u.hedge", ev.target), hedge_issue,
            std::max(hedge_issue, std::min(ev.end_us, ev.latest_need)),
            {{"keys", std::to_string(ev.num_members)}}});
     }
   }
   if (!timed_out.empty()) {
-    ++state->n_timeouts;
+    ++batch->result.timeouts;
     // The coordinator waited out [issue, deadline]: queue wait, then
     // backoffs, then the in-deadline slice of the attempt as service.
-    const EventAttribution event{
-        g.attr_queue_us + (service_start - g.start_us),
-        g.attr_service_us + (deadline - chain.start_us),
-        g.attr_retry_us + (chain.start_us - service_start), 0};
-    consider(deadline, event);
-    Status status = AsyncFailOver(state, std::move(timed_out), deadline,
-                                  g.round + 1, event.queue_us,
-                                  event.service_us, event.retry_us,
-                                  "request timed out");
-    if (!status.ok()) {
-      AbortAsync(state, std::move(status));
+    if (!fail_over(std::move(timed_out), deadline, deadline - chain.start_us,
+                   "request timed out")) {
       return;
     }
   }
-  AsyncGroupResolved(state);
+  GroupResolved(batch);
 }
 
 void Cluster::MaybeSampleAsyncLoad(uint64_t now_us) {
+
   // One sample sweep per interval of virtual time keeps the recorder's
   // bounded ring meaningful under saturation (thousands of groups per
   // virtual millisecond would otherwise rotate it instantly).
@@ -1046,145 +656,155 @@ void Cluster::MaybeSampleAsyncLoad(uint64_t now_us) {
   }
 }
 
-Status Cluster::AsyncFailOver(const AsyncStatePtr& state,
-                              std::vector<AsyncMultiGetState::Member> failed,
-                              uint64_t fail_us, uint32_t next_round,
-                              uint64_t attr_queue_us, uint64_t attr_service_us,
-                              uint64_t attr_retry_us, const char* reason) {
-  std::map<uint32_t, std::vector<AsyncMultiGetState::Member>> regrouped;
-  for (AsyncMultiGetState::Member& m : failed) {
-    const int next = NextUp(m.replicas, m.pos, state->tick);
+Status Cluster::FailOver(const BatchPtr& batch,
+                         std::vector<ReadBatch::Member> failed,
+                         uint64_t fail_us, uint32_t next_round,
+                         const Attribution& attr, const char* reason) {
+  std::map<uint32_t, std::vector<ReadBatch::Member>> regrouped;
+  for (ReadBatch::Member& m : failed) {
+    const int next = NextUp(m.replicas, m.pos, batch->tick);
     if (next < 0) {
       Status exhausted = Status::IOError(reason);
-      if (!state->partial) return exhausted;
-      state->result.failures.push_back(
-          {state->keys[m.key_idx], std::move(exhausted)});
+      if (!batch->partial) return exhausted;
+      batch->failures->push_back(
+          {batch->keys[m.key_idx], std::move(exhausted)});
       continue;
     }
     m.pos = static_cast<size_t>(next);
     regrouped[m.replicas[m.pos]].push_back(std::move(m));
   }
   for (auto& [node, members] : regrouped) {
-    state->groups.push_back(AsyncMultiGetState::Group{
-        node, fail_us, next_round, std::move(members), attr_queue_us,
-        attr_service_us, attr_retry_us});
-    ++state->outstanding;
-    const size_t gi = state->groups.size() - 1;
-    state->executor->PostAt(fail_us, [this, state, gi] {
-      ProcessAsyncGroup(state, gi);
-    });
+    // The new group starts at the failing event's instant, whose
+    // attribution it inherits.
+    batch->groups.push_back(
+        ReadBatch::Group{node, fail_us, next_round, std::move(members), attr});
+    ++batch->outstanding;
+    if (batch->executor != nullptr) {
+      const size_t gi = batch->groups.size() - 1;
+      batch->executor->PostAt(fail_us,
+                              [this, batch, gi] { ProcessGroup(batch, gi); });
+    }
   }
   return Status::OK();
 }
 
-void Cluster::AsyncGroupResolved(const AsyncStatePtr& state) {
-  RSTORE_DCHECK(state->outstanding > 0);
-  if (--state->outstanding > 0 || state->failed) return;
+void Cluster::GroupResolved(const BatchPtr& batch) {
+  RSTORE_DCHECK(batch->outstanding > 0);
+  if (--batch->outstanding > 0 || batch->failed) return;
   const uint64_t charged = options_.latency.coordinator_overhead_us +
-                           (state->last_event_us - state->submit_us);
-  state->result.charged_micros = charged;
+                           (batch->last_event_us - batch->submit_us);
+  batch->result.charged_micros = charged;
+  if (batch->executor == nullptr) {
+    FinalizeBatch(batch);
+    return;
+  }
   // The future completes at the batch's simulated completion instant, so a
   // continuation that issues a dependent batch (the map-key fetch of a
   // query) submits it at the causally correct virtual time.
-  state->executor->PostAt(state->submit_us + charged,
-                          [this, state] { FinalizeAsync(state); });
+  batch->executor->PostAt(batch->submit_us + charged,
+                          [this, batch] { FinalizeBatch(batch); });
 }
 
-void Cluster::FinalizeAsync(const AsyncStatePtr& state) {
-  const uint64_t charged = state->result.charged_micros;
-  state->result.retries = state->n_retries;
-  state->result.hedges = state->n_hedges;
-  state->result.hedge_wins = state->n_hedge_wins;
-  state->result.timeouts = state->n_timeouts;
+void Cluster::EmitSimSpans(const ReadBatch& batch) {
+  for (const ReadBatch::SimSpan& span : batch.sim_spans) {
+    const uint32_t id = batch.trace->AddSimulatedSpan(
+        span.name, batch.sim_batch_start + (span.start_us - batch.submit_us),
+        batch.sim_batch_start + (span.end_us - batch.submit_us));
+    for (const auto& [key, value] : span.notes) {
+      batch.trace->Annotate(id, key, value);
+    }
+  }
+}
+
+void Cluster::FinalizeBatch(const BatchPtr& batch) {
+  AsyncMultiGetResult& result = batch->result;
+  const uint64_t charged = result.charged_micros;
   // The batch's attribution is its critical event's, plus the coordinator
   // overhead as service: queue + service + retry - hedge == charged.
-  const uint64_t attr_service_us =
-      state->crit_service_us + options_.latency.coordinator_overhead_us;
-  state->result.queue_wait_us = state->crit_queue_us;
-  state->result.service_us = attr_service_us;
-  state->result.retry_penalty_us = state->crit_retry_us;
-  state->result.hedge_delta_us = state->crit_hedge_us;
+  result.queue_wait_us = batch->crit.queue_us;
+  result.service_us =
+      batch->crit.service_us + options_.latency.coordinator_overhead_us;
+  result.retry_penalty_us = batch->crit.retry_us;
+  result.hedge_delta_us = batch->crit.hedge_saved_us;
+  const size_t num_keys = batch->keys.size();
 
-  if (state->trace != nullptr) {
-    TraceContext* trace = state->trace;
-    for (const auto& span : state->sim_spans) {
-      const uint32_t id = trace->AddSimulatedSpan(
-          span.name, state->sim_batch_start + (span.start_us - state->submit_us),
-          state->sim_batch_start + (span.end_us - state->submit_us));
-      for (const auto& [key, value] : span.notes) {
-        trace->Annotate(id, key, value);
-      }
-    }
+  if (TraceContext* trace = batch->trace; trace != nullptr) {
+    // Ending the span after this advance makes its simulated duration equal
+    // the charge (asserted by the observability tests).
+    EmitSimSpans(*batch);
     trace->AdvanceSim(charged);
-    trace->Annotate(state->span_id, "keys",
-                    std::to_string(state->keys.size()));
-    trace->Annotate(state->span_id, "bytes",
-                    std::to_string(state->result.bytes_read));
-    trace->Annotate(state->span_id, "nodes",
-                    std::to_string(state->nodes_contacted));
-    trace->Annotate(state->span_id, "queue_wait_us",
-                    std::to_string(state->crit_queue_us));
-    trace->Annotate(state->span_id, "service_us",
-                    std::to_string(attr_service_us));
-    trace->Annotate(state->span_id, "retry_penalty_us",
-                    std::to_string(state->crit_retry_us));
-    trace->Annotate(state->span_id, "hedge_delta_us",
-                    std::to_string(state->crit_hedge_us));
-    trace->EndSpan(state->span_id);
+    const uint32_t id = batch->span_id;
+    trace->Annotate(id, "keys", std::to_string(num_keys));
+    trace->Annotate(id, "bytes", std::to_string(result.bytes_read));
+    trace->Annotate(id, "nodes", std::to_string(batch->nodes_contacted));
+    trace->Annotate(id, "queue_wait_us", std::to_string(result.queue_wait_us));
+    trace->Annotate(id, "service_us", std::to_string(result.service_us));
+    trace->Annotate(id, "retry_penalty_us",
+                    std::to_string(result.retry_penalty_us));
+    trace->Annotate(id, "hedge_delta_us",
+                    std::to_string(result.hedge_delta_us));
+    trace->EndSpan(id);
   }
   const ClusterMetrics& metrics = ClusterMetrics::Get();
   metrics.requests_total->Increment();
-  metrics.multiget_batches_total->Increment();
-  metrics.keys_requested_total->Increment(state->keys.size());
-  metrics.bytes_read_total->Increment(state->result.bytes_read);
+  if (!batch->point_get) {
+    metrics.multiget_batches_total->Increment();
+    metrics.multiget_batch_keys->Observe(num_keys);
+  }
+  metrics.keys_requested_total->Increment(num_keys);
+  metrics.bytes_read_total->Increment(result.bytes_read);
   metrics.simulated_micros_total->Increment(charged);
-  metrics.service_micros_total->Increment(attr_service_us);
-  if (state->crit_queue_us > 0) {
-    metrics.queue_wait_micros_total->Increment(state->crit_queue_us);
+  metrics.service_micros_total->Increment(result.service_us);
+  if (result.queue_wait_us > 0) {
+    metrics.queue_wait_micros_total->Increment(result.queue_wait_us);
   }
-  if (state->crit_retry_us > 0) {
-    metrics.retry_penalty_micros_total->Increment(state->crit_retry_us);
+  if (result.retry_penalty_us > 0) {
+    metrics.retry_penalty_micros_total->Increment(result.retry_penalty_us);
   }
-  if (state->crit_hedge_us > 0) {
-    metrics.hedge_saved_micros_total->Increment(state->crit_hedge_us);
+  if (result.hedge_delta_us > 0) {
+    metrics.hedge_saved_micros_total->Increment(result.hedge_delta_us);
   }
-  metrics.multiget_batch_keys->Observe(state->keys.size());
-  if (state->n_retries > 0) metrics.retries_total->Increment(state->n_retries);
-  if (state->n_hedges > 0) metrics.hedges_total->Increment(state->n_hedges);
-  if (state->n_hedge_wins > 0) {
-    metrics.hedge_wins_total->Increment(state->n_hedge_wins);
+  if (result.retries > 0) metrics.retries_total->Increment(result.retries);
+  if (result.hedges > 0) metrics.hedges_total->Increment(result.hedges);
+  if (result.hedge_wins > 0) {
+    metrics.hedge_wins_total->Increment(result.hedge_wins);
   }
-  if (state->n_timeouts > 0) {
-    metrics.timeouts_total->Increment(state->n_timeouts);
-  }
+  if (result.timeouts > 0) metrics.timeouts_total->Increment(result.timeouts);
   {
     MutexLock lock(mu_);
-    ++stats_.multiget_batches;
-    stats_.keys_requested += state->keys.size();
-    stats_.bytes_read += state->result.bytes_read;
+    if (batch->point_get) {
+      ++stats_.gets;
+    } else {
+      ++stats_.multiget_batches;
+    }
+    stats_.keys_requested += num_keys;
+    stats_.bytes_read += result.bytes_read;
     stats_.simulated_micros += charged;
-    stats_.queue_wait_us += state->crit_queue_us;
-    stats_.service_us += attr_service_us;
-    stats_.retry_penalty_us += state->crit_retry_us;
-    stats_.hedge_delta_us += state->crit_hedge_us;
-    stats_.retries += state->n_retries;
-    stats_.hedges += state->n_hedges;
-    stats_.hedge_wins += state->n_hedge_wins;
-    stats_.timeouts += state->n_timeouts;
+    stats_.queue_wait_us += result.queue_wait_us;
+    stats_.service_us += result.service_us;
+    stats_.retry_penalty_us += result.retry_penalty_us;
+    stats_.hedge_delta_us += result.hedge_delta_us;
+    stats_.retries += result.retries;
+    stats_.hedges += result.hedges;
+    stats_.hedge_wins += result.hedge_wins;
+    stats_.timeouts += result.timeouts;
   }
   // Last, with no locks held: continuations may submit follow-up batches.
-  state->promise.Set(std::move(state->result));
+  // A blocking caller reads the result in place.
+  if (batch->executor != nullptr) batch->promise.Set(std::move(result));
 }
 
-void Cluster::AbortAsync(const AsyncStatePtr& state, Status error) {
-  state->failed = true;
-  if (state->trace != nullptr) {
-    // Mirrors the sync early return: the span closes with no simulated
-    // advance and nothing is charged.
-    state->trace->EndSpan(state->span_id);
+void Cluster::AbortBatch(const BatchPtr& batch, Status error) {
+  batch->failed = true;
+  if (batch->trace != nullptr) {
+    // Nothing is charged and the span closes without a simulated advance. A
+    // blocking call's trace keeps the children of the attempts it made
+    // before the failure; an async batch's span closes bare.
+    if (batch->executor == nullptr) EmitSimSpans(*batch);
+    batch->trace->EndSpan(batch->span_id);
   }
-  state->result.status = std::move(error);
-  state->promise.Set(std::move(state->result));
+  batch->result.status = std::move(error);
+  if (batch->executor != nullptr) batch->promise.Set(std::move(batch->result));
 }
 
 Status Cluster::Delete(const std::string& table, Slice key) {
@@ -1195,7 +815,7 @@ Status Cluster::Delete(const std::string& table, Slice key) {
   std::vector<std::pair<uint32_t, Hint>> staged;
   int deleted = 0;
   uint64_t slowest_us = 0;
-  EventAttribution crit;
+  Attribution crit;
   uint64_t n_retries = 0;
   uint64_t n_timeouts = 0;
   for (uint32_t node : replicas) {
@@ -1208,7 +828,7 @@ Status Cluster::Delete(const std::string& table, Slice key) {
     n_retries += chain.retries;
     bool ok = chain.served;
     uint64_t completion = chain.failure_us;
-    EventAttribution event;
+    Attribution event;
     event.retry_us = chain.failure_us;
     if (ok) {
       completion =

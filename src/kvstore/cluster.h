@@ -63,6 +63,8 @@ class Cluster : public KVStore {
 
   Status CreateTable(const std::string& table) override;
   Status Put(const std::string& table, Slice key, Slice value) override;
+  /// A one-key read batch (so it fails over, hedges and times out exactly
+  /// like MultiGet) that is counted in stats() as a get, not a batch.
   Result<std::string> Get(const std::string& table, Slice key) override;
   /// When `trace` is non-null, records a "kvs.multiget" span with one
   /// "node<N>" child per contacted node covering [batch start, batch start +
@@ -84,25 +86,24 @@ class Cluster : public KVStore {
                          std::map<std::string, std::string>* out,
                          std::vector<KeyReadFailure>* failures,
                          TraceContext* trace) override;
-  /// Asynchronous MultiGet: the continuation-style twin of MultiGetInternal,
-  /// scheduled on a deterministic virtual-time Executor so many batches from
-  /// many queries overlap through one coordinator. Fault decisions draw from
-  /// the same (tick, node, round, salt) streams as the synchronous path, so
-  /// a sequentially-drained async run replays the synchronous timeline event
-  /// for event; when batches genuinely overlap, a per-node FIFO queue
-  /// (async_node_busy_us_) serializes each node's service so saturation is
-  /// bounded by aggregate node capacity, exactly the resource the
-  /// synchronous engine leaves idle between queries.
+  /// Asynchronous MultiGet: the same read engine as the blocking calls,
+  /// scheduled on a deterministic virtual-time Executor so many batches
+  /// from many queries overlap through one coordinator. Fault decisions draw
+  /// from the same (tick, node, round, salt) streams either way; when
+  /// batches overlap, a per-node FIFO queue (async_node_busy_us_) serializes
+  /// each node's service so saturation is bounded by aggregate node
+  /// capacity, exactly the resource a blocking caller leaves idle between
+  /// batches.
   ///
   /// With `partial` false the batch is strict (first unavailable key fails
-  /// the whole batch, nothing is charged — mirroring MultiGet); with true,
+  /// the whole batch, nothing is charged — as in MultiGet); with true,
   /// unavailable keys land in AsyncMultiGetResult::failures. The returned
   /// future completes on the executor at the batch's simulated completion
   /// instant, after this batch's charge lands in stats(). `trace` must
   /// belong to the submitting query chain and stay open (no span started
   /// before submission may close) until the future completes; per-node /
   /// per-attempt children and the simulated advance are recorded at
-  /// completion and reconcile exactly with the charge, as in the sync path.
+  /// completion and reconcile exactly with the charge.
   ///
   /// All async traffic against one Cluster must share one Executor (one
   /// virtual timeline); mixing executors trips a DCHECK. Writes must not
@@ -178,21 +179,31 @@ class Cluster : public KVStore {
   AttemptChain SimulateAttempts(uint32_t node, uint64_t tick, uint32_t round,
                                 uint32_t salt_base, uint64_t start_us) const;
 
-  /// Shared implementation of MultiGet / MultiGetPartial. With
-  /// `failures == nullptr` (strict) the first unavailable key fails the
-  /// batch; otherwise unavailable keys are reported and the rest served.
-  Status MultiGetInternal(const std::string& table,
-                          const std::vector<std::string>& keys,
-                          std::map<std::string, std::string>* out,
-                          std::vector<KeyReadFailure>* failures,
-                          TraceContext* trace);
+  /// How an event's instant (relative to its operation's start) decomposes
+  /// into queue wait, service and retry penalty, minus hedge savings:
+  ///   queue_us + service_us + retry_us - hedge_saved_us == event instant
+  /// holds for every event an operation produces; the operation's
+  /// attribution is its critical event's (the one that set the charged
+  /// latency), plus the coordinator overhead as service.
+  struct Attribution {
+    uint64_t queue_us = 0;
+    uint64_t service_us = 0;
+    uint64_t retry_us = 0;
+    uint64_t hedge_saved_us = 0;
+  };
 
-  /// Mutable continuation state of one in-flight MultiGetAsync batch,
-  /// shared by every event the batch schedules. Only executor events touch
-  /// it after submission, and the executor runs them one at a time, so no
-  /// lock guards it; cross-thread publication happens via the executor's
+  /// The read engine's state for one batch — MultiGet, MultiGetPartial, Get
+  /// or MultiGetAsync — shared by every group event the batch runs. A
+  /// blocking call (null `executor`) drains its groups inline in FIFO
+  /// worklist order and treats every node as idle: it never consults
+  /// async_node_busy_us_ and never pins the executor, because a blocking
+  /// caller waits out each batch before issuing the next. An async batch
+  /// posts each group at its virtual issue instant and queues behind the
+  /// nodes' busy horizons. Only one event touches the state at a time (the
+  /// caller's thread, or the executor, which runs events one at a time), so
+  /// no lock guards it; cross-thread publication happens via the executor's
   /// own queue lock.
-  struct AsyncMultiGetState {
+  struct ReadBatch {
     struct Member {
       size_t key_idx;
       std::vector<uint32_t> replicas;
@@ -200,20 +211,17 @@ class Cluster : public KVStore {
     };
     struct Group {
       uint32_t node;
-      uint64_t start_us;  // absolute virtual time the group was issued
+      uint64_t start_us;  // virtual instant the group was issued
       uint32_t round;     // failover depth, decorrelates fault decisions
       std::vector<Member> members;
       /// Attribution inherited from the event chain that issued this group
-      /// (zero for initial groups): how start_us - submit_us decomposes
-      /// into queue wait / service / retry penalty. Every event this group
-      /// produces extends the inherited triple, keeping the conservation
-      /// invariant exact through arbitrary failover chains.
-      uint64_t attr_queue_us = 0;
-      uint64_t attr_service_us = 0;
-      uint64_t attr_retry_us = 0;
+      /// (zero for initial groups): how start_us - submit_us decomposes.
+      /// Every event this group produces extends it, keeping the
+      /// conservation invariant exact through arbitrary failover chains.
+      Attribution attr;
     };
-    /// A child span recorded at an absolute virtual interval, re-based onto
-    /// the query's simulated clock at finalize.
+    /// A child span recorded at a virtual interval, re-based onto the
+    /// trace's simulated clock when the batch finishes.
     struct SimSpan {
       std::string name;
       uint64_t start_us;
@@ -221,61 +229,71 @@ class Cluster : public KVStore {
       std::vector<std::pair<std::string, std::string>> notes;
     };
 
-    Executor* executor = nullptr;
+    Executor* executor = nullptr;  // null: a blocking call
     std::string table;
     std::vector<std::string> keys;
     bool partial = false;
+    bool point_get = false;  // charged as a get rather than a batch
     TraceContext* trace = nullptr;
     uint64_t tick = 0;
-    uint64_t submit_us = 0;        // absolute virtual submission instant
+    uint64_t submit_us = 0;        // virtual submission instant (0 if blocking)
     uint64_t sim_batch_start = 0;  // trace sim clock at submission
     uint32_t span_id = TraceSpan::kNoParent;
 
-    std::vector<Group> groups;  // append-only; events index into it
+    std::vector<Group> groups;  // append-only worklist; events index into it
     size_t outstanding = 0;
     bool failed = false;
 
-    std::vector<SimSpan> sim_spans;
-    uint64_t last_event_us = 0;  // absolute latest completion/failure
+    std::vector<SimSpan> sim_spans;  // recorded only when traced
+    uint64_t last_event_us = 0;      // latest completion/failure instant
     /// Attribution of the critical event — the one that set last_event_us.
-    /// Strictly-greater updates keep ties resolved toward the first event,
-    /// matching the synchronous path's iteration order exactly.
-    uint64_t crit_queue_us = 0;
-    uint64_t crit_service_us = 0;
-    uint64_t crit_retry_us = 0;
-    uint64_t crit_hedge_us = 0;
+    /// Strictly-greater updates resolve ties toward the first event in
+    /// processing order.
+    Attribution crit;
     uint32_t nodes_contacted = 0;
-    uint64_t n_retries = 0;
-    uint64_t n_hedges = 0;
-    uint64_t n_hedge_wins = 0;
-    uint64_t n_timeouts = 0;
 
+    /// Counters and per-key outcomes; `values` and `failures` point into it
+    /// or, for a blocking call, at the caller's out-params.
     AsyncMultiGetResult result;
-    Promise<AsyncMultiGetResult> promise;
+    std::map<std::string, std::string>* values = &result.values;
+    std::vector<KeyReadFailure>* failures = &result.failures;
+    Promise<AsyncMultiGetResult> promise;  // completed for async batches
   };
-  using AsyncStatePtr = std::shared_ptr<AsyncMultiGetState>;
+  using BatchPtr = std::shared_ptr<ReadBatch>;
 
-  /// One group event: physical read, queued service + attempt chain,
+  /// The blocking reads: runs a ReadBatch inline and returns its status.
+  /// `failures` null means strict.
+  Status ReadBlocking(const std::string& table,
+                      const std::vector<std::string>& keys,
+                      std::map<std::string, std::string>* out,
+                      std::vector<KeyReadFailure>* failures, bool point_get,
+                      TraceContext* trace);
+  /// Draws the batch's tick, opens its span, routes every key to its first
+  /// serving replica and schedules the resulting groups; a blocking batch
+  /// has finished when this returns.
+  void StartBatch(const BatchPtr& batch);
+  /// One group event: physical read, (queued) service + attempt chain,
   /// hedging, per-member completion, failover scheduling.
-  void ProcessAsyncGroup(const AsyncStatePtr& state, size_t group_index);
+  void ProcessGroup(const BatchPtr& batch, size_t group_index);
   /// Routes members that failed at `fail_us` to their next serving
-  /// replicas, scheduling the new groups, which inherit the failing event's
-  /// attribution triple (queue + service + retry == fail_us - submit_us).
-  /// Strict-mode exhaustion returns the error (caller aborts the batch).
-  Status AsyncFailOver(const AsyncStatePtr& state,
-                       std::vector<AsyncMultiGetState::Member> failed,
-                       uint64_t fail_us, uint32_t next_round,
-                       uint64_t attr_queue_us, uint64_t attr_service_us,
-                       uint64_t attr_retry_us, const char* reason);
-  /// Marks one group resolved; the last one schedules FinalizeAsync at the
-  /// batch's simulated completion instant.
-  void AsyncGroupResolved(const AsyncStatePtr& state);
+  /// replicas as new groups, which inherit the failing event's attribution
+  /// `attr` (queue + service + retry == fail_us - submit_us). Strict-mode
+  /// exhaustion returns the error (the caller aborts the batch).
+  Status FailOver(const BatchPtr& batch,
+                  std::vector<ReadBatch::Member> failed, uint64_t fail_us,
+                  uint32_t next_round, const Attribution& attr,
+                  const char* reason);
+  /// Marks one group resolved; the last one finalizes the batch at its
+  /// simulated completion instant.
+  void GroupResolved(const BatchPtr& batch);
   /// Charges stats/metrics, emits the trace children + simulated advance,
-  /// and completes the promise (with no locks held).
-  void FinalizeAsync(const AsyncStatePtr& state);
-  /// Strict-mode batch failure: mirrors the sync early return — the span
-  /// closes without an advance and nothing is charged.
-  void AbortAsync(const AsyncStatePtr& state, Status error);
+  /// and completes an async batch's promise (with no locks held).
+  void FinalizeBatch(const BatchPtr& batch);
+  /// Strict-mode batch failure: the span closes without an advance and
+  /// nothing is charged.
+  void AbortBatch(const BatchPtr& batch, Status error);
+  /// Re-bases the recorded child spans onto the trace's simulated clock.
+  void EmitSimSpans(const ReadBatch& batch);
 
   /// Samples every node's async busy horizon into the process-wide
   /// FlightRecorder time series, at most once per sampling interval of
@@ -324,9 +342,9 @@ class Cluster : public KVStore {
   KVStats stats_ RSTORE_GUARDED_BY(mu_);
   /// Virtual-time instant (on the async executor's clock) until which each
   /// node is busy serving async reads — the per-node FIFO queue that keeps
-  /// saturation finite when hundreds of async queries overlap. The
-  /// synchronous path never consults it: a sync caller waits out each batch
-  /// before issuing the next, so its nodes are idle by construction.
+  /// saturation finite when hundreds of async queries overlap. Blocking
+  /// reads never consult it: their caller waits out each batch before
+  /// issuing the next, so its nodes are idle by construction.
   std::vector<uint64_t> async_node_busy_us_ RSTORE_GUARDED_BY(mu_);
   /// All async traffic on one cluster shares one virtual timeline; pinned
   /// at the first MultiGetAsync and DCHECKed on every later one.

@@ -54,8 +54,8 @@ struct KVStats {
   // holds exactly (all four are zero for plain in-memory stores, which
   // charge nothing). Batched reads attribute the critical path — the event
   // chain of the member that determined the batch's completion time.
-  /// Time spent queued behind earlier work at the serving node (async engine
-  /// busy horizons; always zero on the one-at-a-time sync path).
+  /// Time spent queued behind earlier work at the serving node (async
+  /// busy horizons; always zero for one-at-a-time blocking reads).
   uint64_t queue_wait_us = 0;
   /// Time the serving node (plus coordinator overhead) spent doing work.
   uint64_t service_us = 0;

@@ -42,7 +42,7 @@ struct TrafficOptions {
   uint64_t arrival_interval_us = 0;
   /// Closed-loop concurrency: how many queries are kept in flight; each
   /// completion immediately submits the next. Ignored in open-loop mode.
-  /// 1 reproduces the synchronous engine's timeline exactly.
+  /// Fault-free, 1 reproduces the blocking API's timeline exactly.
   uint32_t concurrency = 16;
 };
 

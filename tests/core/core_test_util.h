@@ -4,7 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/executor.h"
+#include "common/hash.h"
 #include "common/result.h"
 #include "core/record.h"
 #include "core/rstore.h"
@@ -137,6 +139,39 @@ inline std::vector<workload::Query> BuildReplayQueries(
     out.insert(out.end(), points.begin(), points.end());
   }
   return out;
+}
+
+/// An order-sensitive 64-bit digest for golden tables: every item is
+/// length-framed, so concatenations cannot collide.
+class Digest {
+ public:
+  void Add(Slice bytes) {
+    std::string framed;
+    PutVarint64(&framed, bytes.size());
+    framed.append(bytes.data(), bytes.size());
+    value_ = Mix64(value_ ^ Fnv1a64(Slice(framed)));
+  }
+  void Add(const std::string& s) { Add(Slice(s)); }
+  void Add(uint64_t v) {
+    std::string framed;
+    PutFixed64(&framed, v);
+    Add(Slice(framed));
+  }
+  uint64_t value() const { return value_; }
+
+ private:
+  uint64_t value_ = 0;
+};
+
+/// Digest of a workload replay: every result, then every QueryStats
+/// counter of the aggregate.
+inline uint64_t ReplayDigest(const WorkloadReplay& replay) {
+  Digest digest;
+  for (const std::string& result : replay.results) digest.Add(result);
+  for (const QueryStats::Field& field : kQueryStatsFields) {
+    digest.Add(replay.stats.*field.member);
+  }
+  return digest.value();
 }
 
 /// Replays the deterministic mixed query workload derived from `seed`

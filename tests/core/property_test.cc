@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
+#include <string>
 
 #include "core/partitioner.h"
 #include "core/rstore.h"
@@ -20,6 +23,7 @@
 namespace rstore {
 namespace {
 
+using testing::ReplayDigest;
 using workload::DatasetConfig;
 using workload::GeneratedDataset;
 using workload::GenerateDataset;
@@ -245,14 +249,39 @@ TEST_P(RandomizedDatasetTest, CachedQueriesMatchUncachedAcrossAllAlgorithms) {
   }
 }
 
-// The async-vs-sync equivalence harness: for every partitioning algorithm
-// (and so every chunk layout), the same seeded workload replayed through the
-// continuation-based async engine must be byte-identical to the synchronous
-// replay, with the per-query accounting — chunks fetched, bytes, simulated
-// time, cache hits and misses — agreeing counter for counter. Pipelining
-// may only reorder work, never change what a query reads or what it costs.
+/// Digests (ReplayDigest) of the mixed-workload replay on a MemoryStore:
+/// {seed, partitioner, uncached replay, cached replay}. Recorded from the
+/// separate synchronous query engine that the shared query bodies replaced.
+struct ReplayGolden {
+  uint64_t seed;
+  const char* algorithm;
+  uint64_t uncached;
+  uint64_t cached;
+};
+
+constexpr ReplayGolden kReplayGolden[] = {
+#include "property_replay_golden.inc"
+};
+
+const ReplayGolden* FindReplayGolden(uint64_t seed, const char* algorithm) {
+  for (const ReplayGolden& g : kReplayGolden) {
+    if (g.seed == seed && std::string(g.algorithm) == algorithm) return &g;
+  }
+  return nullptr;
+}
+
+// The blocking and async query APIs share one body per query class, so
+// comparing them with each other proves little on their own. For every
+// partitioning algorithm (and so every chunk layout), the same seeded
+// workload replayed through the blocking API and through the async API with
+// every query in flight must reproduce the recorded digests — results byte
+// for byte and every per-query counter (chunks fetched, bytes, simulated
+// time, cache hits and misses) — uncached, and cached on fresh stores that
+// each start from the same cold cache. Set RSTORE_PRINT_REPLAY_GOLDEN=1 to
+// print the table after a deliberate behaviour change.
 TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
   GeneratedDataset gen = GenerateDataset(RandomConfig(GetParam()));
+  const bool print = std::getenv("RSTORE_PRINT_REPLAY_GOLDEN") != nullptr;
   const PartitionAlgorithm algorithms[] = {
       PartitionAlgorithm::kBottomUp, PartitionAlgorithm::kShingle,
       PartitionAlgorithm::kDepthFirst, PartitionAlgorithm::kBreadthFirst,
@@ -260,66 +289,59 @@ TEST_P(RandomizedDatasetTest, AsyncQueriesMatchSyncAcrossAllAlgorithms) {
       PartitionAlgorithm::kSubChunkBaseline,
       PartitionAlgorithm::kSingleAddressSpace};
   for (PartitionAlgorithm algorithm : algorithms) {
-    SCOPED_TRACE(std::string("algorithm=") +
-                 PartitionAlgorithmName(algorithm));
+    const char* name = PartitionAlgorithmName(algorithm);
+    SCOPED_TRACE(std::string("algorithm=") + name);
     Options options;
     options.algorithm = algorithm;
     options.chunk_capacity_bytes = 4096;
-
-    // Uncached, against one store: sync baseline first, then the async
-    // burst replay (every query in flight at once).
-    MemoryStore backend;
-    auto store = RStore::Open(&backend, options);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->BulkLoad(gen.dataset, gen.payloads).ok());
-    auto sync = testing::ReplayQueryWorkload(store->get(), gen.dataset,
-                                             GetParam());
-    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
-    Executor executor;
-    auto async = testing::ReplayQueryWorkloadAsync(
-        store->get(), &executor, gen.dataset, GetParam());
-    ASSERT_TRUE(async.ok()) << async.status().ToString();
-    EXPECT_EQ(async->results, sync->results);
-    EXPECT_EQ(async->stats.chunks_fetched, sync->stats.chunks_fetched);
-    EXPECT_EQ(async->stats.bytes_fetched, sync->stats.bytes_fetched);
-    EXPECT_EQ(async->stats.simulated_micros, sync->stats.simulated_micros);
-    EXPECT_EQ(async->stats.cache_hits, 0u);
-    EXPECT_EQ(async->stats.cache_misses, 0u);
-
-    // Cached, on two fresh stores (one per engine) so each replay sees the
-    // same cold cache: the hit/miss sequence must agree stroke for stroke.
     Options cached_options = options;
     cached_options.cache_capacity_bytes = 16 << 10;
     cached_options.cache_shards = 2;
-    MemoryStore sync_backend;
-    auto sync_store = RStore::Open(&sync_backend, cached_options);
-    ASSERT_TRUE(sync_store.ok());
-    ASSERT_TRUE((*sync_store)->BulkLoad(gen.dataset, gen.payloads).ok());
-    auto cached_sync = testing::ReplayQueryWorkload(
-        sync_store->get(), gen.dataset, GetParam());
+
+    // One fresh store per replay, so each cached replay starts cold.
+    auto replay = [&](const Options& opts,
+                      bool async) -> Result<testing::WorkloadReplay> {
+      MemoryStore backend;
+      auto store = RStore::Open(&backend, opts);
+      if (!store.ok()) return store.status();
+      RSTORE_RETURN_IF_ERROR((*store)->BulkLoad(gen.dataset, gen.payloads));
+      Executor executor;
+      auto out = async ? testing::ReplayQueryWorkloadAsync(
+                             store->get(), &executor, gen.dataset, GetParam())
+                       : testing::ReplayQueryWorkload(store->get(), gen.dataset,
+                                                      GetParam());
+      if (out.ok() && (*store)->chunk_cache() != nullptr) {
+        RSTORE_RETURN_IF_ERROR((*store)->chunk_cache()->Validate());
+      }
+      return out;
+    };
+    auto sync = replay(options, /*async=*/false);
+    auto async = replay(options, /*async=*/true);
+    auto cached_sync = replay(cached_options, /*async=*/false);
+    auto cached_async = replay(cached_options, /*async=*/true);
+    ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+    ASSERT_TRUE(async.ok()) << async.status().ToString();
     ASSERT_TRUE(cached_sync.ok()) << cached_sync.status().ToString();
-
-    MemoryStore async_backend;
-    auto async_store = RStore::Open(&async_backend, cached_options);
-    ASSERT_TRUE(async_store.ok());
-    ASSERT_TRUE((*async_store)->BulkLoad(gen.dataset, gen.payloads).ok());
-    Executor cached_executor;
-    auto cached_async = testing::ReplayQueryWorkloadAsync(
-        async_store->get(), &cached_executor, gen.dataset, GetParam());
     ASSERT_TRUE(cached_async.ok()) << cached_async.status().ToString();
-
-    EXPECT_EQ(cached_async->results, sync->results);
-    EXPECT_EQ(cached_async->stats.chunks_fetched,
+    if (print) {
+      std::printf("    {%llu, \"%s\", 0x%016llxull, 0x%016llxull},\n",
+                  static_cast<unsigned long long>(GetParam()), name,
+                  static_cast<unsigned long long>(ReplayDigest(*sync)),
+                  static_cast<unsigned long long>(ReplayDigest(*cached_sync)));
+      continue;
+    }
+    const ReplayGolden* golden = FindReplayGolden(GetParam(), name);
+    ASSERT_NE(golden, nullptr);
+    EXPECT_EQ(ReplayDigest(*sync), golden->uncached);
+    EXPECT_EQ(ReplayDigest(*async), golden->uncached);
+    EXPECT_EQ(ReplayDigest(*cached_sync), golden->cached);
+    EXPECT_EQ(ReplayDigest(*cached_async), golden->cached);
+    // The cache changes costs, never bytes, and its counters partition the
+    // span exactly.
+    EXPECT_EQ(cached_sync->results, sync->results);
+    EXPECT_EQ(sync->stats.cache_hits + sync->stats.cache_misses, 0u);
+    EXPECT_EQ(cached_sync->stats.cache_hits + cached_sync->stats.cache_misses,
               cached_sync->stats.chunks_fetched);
-    EXPECT_EQ(cached_async->stats.cache_hits, cached_sync->stats.cache_hits);
-    EXPECT_EQ(cached_async->stats.cache_misses,
-              cached_sync->stats.cache_misses);
-    EXPECT_EQ(cached_async->stats.cache_hits +
-                  cached_async->stats.cache_misses,
-              cached_async->stats.chunks_fetched);
-    ASSERT_NE((*async_store)->chunk_cache(), nullptr);
-    Status valid = (*async_store)->chunk_cache()->Validate();
-    EXPECT_TRUE(valid.ok()) << valid.ToString();
   }
 }
 

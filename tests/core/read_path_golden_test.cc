@@ -26,9 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "common/coding.h"
 #include "common/executor.h"
-#include "common/hash.h"
 #include "common/trace.h"
 #include "core/rstore.h"
 #include "core_test_util.h"
@@ -38,6 +36,7 @@ namespace rstore {
 namespace {
 
 using testing::BuildReplayQueries;
+using testing::Digest;
 using testing::ExampleData;
 using testing::MakeChain;
 using testing::SerializeRecords;
@@ -69,26 +68,6 @@ constexpr PartitionAlgorithm kAlgorithms[] = {
 };
 constexpr uint64_t kFaultSeeds[] = {0, 1, 2, 3, 4, 5};
 constexpr const char* kModes[] = {"sync", "async1", "async4"};
-
-class Digest {
- public:
-  void Add(Slice bytes) {
-    std::string framed;
-    PutVarint64(&framed, bytes.size());
-    framed.append(bytes.data(), bytes.size());
-    value_ = Mix64(value_ ^ Fnv1a64(Slice(framed)));
-  }
-  void Add(const std::string& s) { Add(Slice(s)); }
-  void Add(uint64_t v) {
-    std::string framed;
-    PutFixed64(&framed, v);
-    Add(Slice(framed));
-  }
-  uint64_t value() const { return value_; }
-
- private:
-  uint64_t value_ = 0;
-};
 
 /// Five nodes at rf=3 with hedging and a request timeout on every run; a
 /// nonzero `fault_seed` adds the chaos suite's schedule (transient errors and

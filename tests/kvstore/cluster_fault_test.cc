@@ -185,6 +185,55 @@ TEST(ClusterFaultTest, TimedOutRequestsFailOverToTheNextReplica) {
   EXPECT_GT(stats.timeouts, 0u);
 }
 
+// Regression: Get used to fail over only when a failed attempt chain ended,
+// even when the request deadline had passed long before, and charged the
+// whole chain. A point read is a one-key batch: same deadline, same charge,
+// same counters as MultiGet under the same fault schedule.
+TEST(ClusterFaultTest, GetClampsAFailedAttemptChainAtTheDeadline) {
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.replication_factor = 2;
+  options.faults.per_node[0].transient_error_rate = 1.0;  // node 0 always errs
+  options.retry.max_attempts = 4;
+  options.retry.base_backoff_us = 2000;
+  options.retry.jitter_fraction = 0.0;
+  options.retry.request_timeout_us = 3000;  // far shorter than node 0's chain
+  Cluster get_cluster(options);
+  Cluster batch_cluster(options);
+  for (Cluster* cluster : {&get_cluster, &batch_cluster}) {
+    ASSERT_TRUE(cluster->CreateTable("t").ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(cluster->Put("t", "k" + std::to_string(i), "value").ok());
+    }
+  }
+  int failed_over = 0;
+  for (int i = 0; i < 10; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    const KVStats get_before = get_cluster.stats();
+    auto got = get_cluster.Get("t", key);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const KVStats get_after = get_cluster.stats();
+
+    const KVStats batch_before = batch_cluster.stats();
+    std::map<std::string, std::string> out;
+    ASSERT_TRUE(batch_cluster.MultiGet("t", {key}, &out).ok());
+    const KVStats batch_after = batch_cluster.stats();
+
+    EXPECT_EQ(out[key], *got);
+    EXPECT_EQ(get_after.simulated_micros - get_before.simulated_micros,
+              batch_after.simulated_micros - batch_before.simulated_micros)
+        << key;
+    EXPECT_EQ(get_after.retries - get_before.retries,
+              batch_after.retries - batch_before.retries);
+    EXPECT_EQ(get_after.timeouts - get_before.timeouts,
+              batch_after.timeouts - batch_before.timeouts);
+    if (get_after.retries > get_before.retries) ++failed_over;
+  }
+  // Keys whose primary is node 0 fail over; the rest are served directly.
+  EXPECT_GT(failed_over, 0);
+  EXPECT_LT(failed_over, 10);
+}
+
 // ---------------------------------------------------------------------------
 // Hinted handoff.
 

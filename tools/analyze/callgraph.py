@@ -1,6 +1,6 @@
 """Merged whole-program model built from per-TU facts.
 
-Takes the facts dicts of every scanned TU (from any frontend) and builds:
+Takes the facts dicts of every scanned TU and builds:
 
   * a function index with resolved call edges (including virtual dispatch
     over the KVStore hierarchy and receiver-typed member calls),
@@ -400,7 +400,7 @@ class Program:
         Accesses that resolve to an untracked class, to a sync primitive
         member, or not at all are dropped."""
         member = event["member"]
-        # The clang frontend resolves the owner exactly.
+        # An owner named in the facts wins over resolution.
         cls = event.get("cls", "")
         if cls:
             hit = self._find_member(cls, member)

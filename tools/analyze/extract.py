@@ -1,4 +1,4 @@
-"""Portable (pure-Python) fact-extraction frontend.
+"""Fact-extraction frontend: a portable, pure-Python parser.
 
 Parses one C++ file into the facts schema of facts.py without a compiler:
 a line-preserving comment/string stripper, a brace-matching structural scan
@@ -14,10 +14,8 @@ repo lint (tools/lint.py) and clang-format keep uniform:
   * callbacks are `std::function` parameters (or a `using` alias of one);
   * one class per qualified name, CamelCase methods, snake_case members.
 
-The libclang frontend (extract_clang.py) produces the same facts with exact
-name resolution and is preferred when python3-clang is installed; this
-frontend is the portable fallback and the deterministic CI gate until the
-two provably agree (see DESIGN.md "Static analysis").
+It needs no compiler or bindings, so it runs anywhere the tests do and its
+facts are identical on every machine (see DESIGN.md "Static analysis").
 """
 
 import os
